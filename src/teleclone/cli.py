@@ -1,9 +1,9 @@
 """Command-line front end: protocol runs, sweeps, and the invariant suite.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage error.  CSV output
+Exit codes: 0 success, 1 invariant failure, 2 usage error (a register
+beyond the 20-qubit limit is one; it leaves no output file).  CSV output
 uses '.' decimals, 12 significant digits, and LF line endings so that
-identical configs produce byte-identical files; JSON output is
-sorted-key.  TELECLONE_JOBS sets the default worker count for sweeps.
+identical configs produce byte-identical files; JSON output is sorted-key.
 """
 
 import argparse
@@ -11,7 +11,6 @@ import contextlib
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -148,7 +147,7 @@ def cmd_sweep_delta(args) -> int:
         return 0
 
     grid = ent.SweepGrid(mu_step=args.mu_step, p_step=args.p_step)
-    report = ent.sweep_delta(grid, jobs=args.jobs)
+    report = ent.sweep_delta(grid)
     rows = []
     for mi, mu_value in enumerate(report.mu_values):
         for pi, p in enumerate(report.p_values):
@@ -190,10 +189,6 @@ def cmd_sweep_fidelity(args) -> int:
 
 
 def cmd_mixed(args) -> int:
-    if args.n > 1 and not args.large:
-        raise ValueError(
-            f"n={args.n} simulates a {10 * args.n}-qubit register; pass --large to allow it"
-        )
     mixed_dim = 1 << args.n
     rng = np.random.default_rng(args.seed)
     plans = [np.eye(mixed_dim)[k] for k in range(mixed_dim)]
@@ -217,6 +212,15 @@ def cmd_mixed(args) -> int:
             + [_fmt(args.p), _fmt(f_mixed), _fmt(lower), _fmt(f_pure), str(int(ok))]
         )
 
+    # cross-check a few rows against the full simulation before writing
+    check_count = 3 if args.n == 1 else 2
+    sim_err = 0.0
+    for mixed, params, f_formula in records[:check_count]:
+        rho_b, _, _, _ = mx.teleclone_mixed(mixed, params)
+        sim_err = max(
+            sim_err, abs(uhlmann_fidelity(mixed.density(), rho_b) - f_formula)
+        )
+
     header = [f"alpha_{k}" for k in range(mixed_dim)] + [
         "p",
         "f_mixed",
@@ -225,15 +229,6 @@ def cmd_mixed(args) -> int:
         "ok",
     ]
     _write_csv(args.output, header, rows)
-
-    # cross-check a few rows against the full simulation
-    check_count = 3 if args.n == 1 else 2
-    sim_err = 0.0
-    for mixed, params, f_formula in records[:check_count]:
-        rho_b, _, _, _ = mx.teleclone_mixed(mixed, params)
-        sim_err = max(
-            sim_err, abs(uhlmann_fidelity(mixed.density(), rho_b) - f_formula)
-        )
     summary = {
         "rows": len(rows),
         "violations": violations,
@@ -260,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="teleclone",
         description="Simulate and verify 1->2 asymmetric telecloning of multiqubit states.",
     )
-    default_jobs = int(os.environ.get("TELECLONE_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="one protocol round, transcript as JSON")
@@ -285,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_delta.add_argument("--p", type=float, help="with --mu: evaluate a single point")
     p_delta.add_argument("--mu-step", type=float, default=0.005)
     p_delta.add_argument("--p-step", type=float, default=0.001)
-    p_delta.add_argument("--jobs", type=int, default=default_jobs)
     p_delta.add_argument("--output", help="CSV path (default stdout)")
     p_delta.set_defaults(func=cmd_sweep_delta)
 
@@ -304,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mixed.add_argument("--p", type=float, default=0.5)
     p_mixed.add_argument("--samples", type=int, default=100)
     p_mixed.add_argument("--seed", type=int, required=True)
-    p_mixed.add_argument(
-        "--large", action="store_true", help="allow n>1 (up to 20-qubit simulation)"
-    )
     p_mixed.add_argument("--output", help="CSV path (default stdout)")
     p_mixed.set_defaults(func=cmd_mixed)
 

@@ -7,7 +7,6 @@ protocol cannot create entanglement.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,47 +300,29 @@ def _analyze_mu(mu_value: float, grid: SweepGrid) -> MuAnalysis:
     )
 
 
-def _sweep_chunk(args) -> tuple:
-    mu_chunk, p_values = args
-    f_b, f_c = _fidelities_d4(p_values)
-    c_b = clone_concurrence(mu_chunk[:, None], f_b[None, :])
-    c_c = clone_concurrence(mu_chunk[:, None], f_c[None, :])
-    d = (
-        eof_from_concurrence(np.minimum(2.0 * mu_chunk, 1.0))[:, None]
-        - eof_from_concurrence(c_b)
-        - eof_from_concurrence(c_c)
-    )
-    return c_b, c_c, d
-
-
-def sweep_delta(grid: SweepGrid | None = None, jobs: int = 1) -> DeltaSweepReport:
+def sweep_delta(grid: SweepGrid | None = None) -> DeltaSweepReport:
     """Dense delta >= 0 certification over the (mu, p) rectangle.
 
     Evaluates the gap on the full grid, then for every mu inside
     (1/6, 1/2) checks (a) the combined clone EoF is nondecreasing on
     [1/2, p_hi], (b) the inflection point of the B-clone EoF sits above
     0.56, and (c) the gap's minimizer over the physical region lies on
-    the region boundary.  Grid points are independent; `jobs` > 1 fans
-    the heavy rectangle out to a process pool with deterministic
-    ordering.
+    the region boundary.
     """
     grid = grid or SweepGrid()
     mu_values = grid.mu_values()
     p_values = grid.p_values()
-
-    if jobs > 1:
-        chunks = [(c, p_values) for c in np.array_split(mu_values, jobs) if c.size]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_sweep_chunk, chunks))
-        c_b = np.concatenate([part[0] for part in parts])
-        c_c = np.concatenate([part[1] for part in parts])
-        delta_grid = np.concatenate([part[2] for part in parts])
-    else:
-        c_b, c_c, delta_grid = _sweep_chunk((mu_values, p_values))
+    f_b, f_c = _fidelities_d4(p_values)
+    c_b = clone_concurrence(mu_values[:, None], f_b[None, :])
+    c_c = clone_concurrence(mu_values[:, None], f_c[None, :])
+    delta_grid = (
+        eof_from_concurrence(np.minimum(2.0 * mu_values, 1.0))[:, None]
+        - eof_from_concurrence(c_b)
+        - eof_from_concurrence(c_c)
+    )
 
     flat = int(np.argmin(delta_grid))
     mi, pi = np.unravel_index(flat, delta_grid.shape)
-    f_b, f_c = _fidelities_d4(p_values)
     analyses = tuple(
         _analyze_mu(float(m), grid)
         for m in mu_values

@@ -23,6 +23,9 @@ from .qstate import (
     PAULI_Z,
     BellElement,
     StateVector,
+    _bell_sum,
+    _check_register_size,
+    _pair_blocks,
     apply_local,
     bell_probabilities,
     bell_project,
@@ -32,12 +35,8 @@ from .qstate import (
     tensor,
 )
 
-_BELL_ORDER = (
-    BellElement.PHI_PLUS,
-    BellElement.PHI_MINUS,
-    BellElement.PSI_PLUS,
-    BellElement.PSI_MINUS,
-)
+#: PHI+, PHI-, PSI+, PSI-: outcome enumeration and sampling order
+_BELL_ORDER = tuple(BellElement)
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,7 @@ def build_channel(params: CloneParams) -> ChannelState:
     on the A' block is maximally mixed, so the channel carries exactly
     n ebits across the (A' | receivers) cut for every p.
     """
+    _check_register_size(4 * params.n)
     d = params.d
     blocks = [cloner_basis_state(k, params).amplitudes for k in range(d)]
     amps = np.concatenate(blocks) / math.sqrt(d)
@@ -133,6 +133,8 @@ def project_pairs(
     """Bell-project the given qubit pairs (positions refer to `state`).
 
     Exactly one of `outcome` (forced) or `rng` (sampled) must be given.
+    Sampled mode draws one rng.random() per pair and takes the first
+    element, in _BELL_ORDER, whose cumulative probability exceeds it.
     Projections on disjoint pairs commute, so the order of `pairs` does
     not change the result.  Returns the joint outcome, the collapsed
     renormalized state on the remaining qubits (original relative order),
@@ -294,33 +296,25 @@ def run(
 def outcome_probabilities(psi: StateVector, params: CloneParams) -> dict:
     """Exact joint probability of every one of the 4^n outcomes.
 
-    Computed by walking the projection tree (conditional probabilities
-    multiply along each branch).  For any normalized input the
-    distribution comes out uniform at 4^(-n).
+    Each sender pair turns the (batch, 2^m) residuals into (4 * batch,
+    2^(m-2)), one row per branch; row k ends up as the k-th outcome of
+    BellOutcome.all_outcomes, its squared norm that outcome's probability.
+    For any normalized input the distribution comes out uniform at 4^(-n).
     """
     total = attach_input(psi.normalized(), build_channel(params))
     n = params.n
-    probs: dict[BellOutcome, float] = {}
-
-    def descend(state: StateVector, step: int, prefix: tuple, acc: float) -> None:
-        if step == n:
-            probs[BellOutcome(prefix)] = acc
-            return
+    amps, m = total.amplitudes[None, :], total.num_qubits
+    for step in range(n):
         # pair (A_step, A'_step): earlier projections removed qubits
         # {0..step-1} and {n..n+step-1}, so the pair now sits at (0, n-step)
-        position = (0, n - step)
-        branch = bell_probabilities(state, position)
-        for element in _BELL_ORDER:
-            prob = branch[element]
-            if prob < 1e-18:
-                for tail in itertools.product(_BELL_ORDER, repeat=n - step - 1):
-                    probs[BellOutcome(prefix + (element,) + tail)] = 0.0
-                continue
-            collapsed, _ = bell_project(state, position, element)
-            descend(collapsed, step + 1, prefix + (element,), acc * prob)
-
-    descend(total, 0, (), 1.0)
-    return probs
+        blocks = _pair_blocks(amps, m, (0, n - step))
+        branches = np.empty((len(amps), 4) + blocks[0].shape[1:], dtype=complex)
+        for k, element in enumerate(_BELL_ORDER):
+            _bell_sum(blocks, element, out=branches[:, k])
+        amps, m = branches.reshape(4 * len(amps), -1), m - 2
+    # every pair's _bell_sum carries a factor sqrt(2)
+    probs = (np.abs(amps) ** 2).sum(axis=1) / 2**n
+    return dict(zip(BellOutcome.all_outcomes(n), probs.tolist()))
 
 
 def sample_outcomes(

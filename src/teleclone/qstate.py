@@ -9,6 +9,7 @@ All operations are pure: they return new values and never mutate their
 inputs.  States and density matrices are safe to share across threads.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,6 +42,12 @@ def _check_position(position: int, num_qubits: int) -> None:
         )
 
 
+def _check_register_size(num_qubits: int) -> None:
+    """Reject a register size outside [0, MAX_QUBITS] before it is allocated."""
+    if not 0 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"register size {num_qubits} is outside the {MAX_QUBITS}-qubit limit")
+
+
 def _num_qubits_for(length: int) -> int:
     m = max(length.bit_length() - 1, 0)
     if length != 1 << m:
@@ -56,13 +63,10 @@ class StateVector:
     num_qubits: int
 
     def __post_init__(self):
+        _check_register_size(self.num_qubits)
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1:
             raise ValueError("amplitudes must be one-dimensional")
-        if self.num_qubits < 0 or self.num_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"register size {self.num_qubits} outside supported range [0, {MAX_QUBITS}]"
-            )
         if amps.size != 1 << self.num_qubits:
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes for "
@@ -193,6 +197,7 @@ class BellElement(Enum):
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; `a`'s register occupies the high bits of the result."""
+    _check_register_size(a.num_qubits + b.num_qubits)
     return StateVector(np.kron(a.amplitudes, b.amplitudes), a.num_qubits + b.num_qubits)
 
 
@@ -208,6 +213,38 @@ def apply_local(state: StateVector, op: np.ndarray, target: int) -> StateVector:
     return StateVector(out.reshape(-1), state.num_qubits)
 
 
+def _pair_blocks(amps: np.ndarray, num_qubits: int, pair: tuple[int, int]) -> list:
+    """The four (a_i, a_j) = 00, 01, 10, 11 sub-blocks of (batch, 2^m) amplitudes.
+
+    Viewing the array as (batch, 2^hi, 2, 2^mid, 2, 2^lo), with hi, mid, lo
+    the qubits before, between and after the pair, each block is a strided
+    view (no copy) that keeps the other qubits in their relative order.
+    """
+    i, j = pair
+    _check_position(i, num_qubits)
+    _check_position(j, num_qubits)
+    if i == j:
+        raise ValueError("the two pair positions must be distinct")
+    first, last = sorted(pair)
+    view = amps.reshape(
+        len(amps), 1 << first, 2, 1 << (last - first - 1), 2, 1 << (num_qubits - last - 1)
+    )
+    if i > j:
+        view = view.swapaxes(2, 4)
+    return [view[:, :, a, :, b, :] for a in (0, 1) for b in (0, 1)]
+
+
+def _bell_sum(blocks: list, element: BellElement, out: np.ndarray | None = None):
+    """sqrt(2) <element|_pair psi: the element's signed sum of two pair blocks."""
+    first, second = (blocks[0], blocks[3]) if element.kind == "PHI" else (blocks[1], blocks[2])
+    combine = np.add if element.sign > 0 else np.subtract
+    return combine(first, second, out=out)
+
+
+#: row e holds Bell element e's amplitudes over the pair values 00, 01, 10, 11
+_BELL_MATRIX = np.array([element.tensor().real.reshape(4) for element in BellElement])
+
+
 def bell_project(
     state: StateVector, pair: tuple[int, int], element: BellElement
 ) -> tuple[StateVector, float]:
@@ -218,33 +255,30 @@ def bell_project(
     probability.  Raises ImpossibleOutcomeError when the probability is
     below IMPOSSIBLE_PROB, in which case there is no state to renormalize.
     """
-    i, j = pair
-    _check_position(i, state.num_qubits)
-    _check_position(j, state.num_qubits)
-    if i == j:
-        raise ValueError("the two pair positions must be distinct")
-    psi = state._tensor_view()
-    residual = np.tensordot(element.tensor().conj(), psi, axes=([0, 1], [i, j]))
-    prob = float(np.vdot(residual, residual).real)
+    blocks = _pair_blocks(state.amplitudes[None, :], state.num_qubits, pair)
+    residual = _bell_sum(blocks, element).reshape(-1)
+    prob = float(np.vdot(residual, residual).real) / 2
     if prob < IMPOSSIBLE_PROB:
         raise ImpossibleOutcomeError(
             f"outcome {element.label} on pair {pair} has probability {prob:.3e}"
         )
-    collapsed = StateVector(residual.reshape(-1) / math.sqrt(prob), state.num_qubits - 2)
-    return collapsed, prob
+    residual /= math.sqrt(2 * prob)
+    return StateVector(residual, state.num_qubits - 2), prob
 
 
 def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> dict:
-    """Probabilities of all four Bell outcomes on a qubit pair (sums to 1)."""
-    i, j = pair
-    _check_position(i, state.num_qubits)
-    _check_position(j, state.num_qubits)
-    psi = state._tensor_view()
-    probs = {}
-    for element in BellElement:
-        residual = np.tensordot(element.tensor().conj(), psi, axes=([0, 1], [i, j]))
-        probs[element] = float(np.vdot(residual, residual).real)
-    return probs
+    """Probabilities of all four Bell outcomes on a qubit pair (sums to 1).
+
+    The diagonal of B G B^T for B = _BELL_MATRIX and G the blocks' Gram
+    matrix; B is real, so Re G suffices: the Gram of their float views.
+    """
+    blocks = _pair_blocks(state.amplitudes[None, :], state.num_qubits, pair)
+    reals = [block[0].view(np.float64) for block in blocks]
+    gram = np.empty((4, 4))
+    for k, l in itertools.combinations_with_replacement(range(4), 2):
+        gram[k, l] = gram[l, k] = np.einsum("hml,hml->", reals[k], reals[l])
+    probs = np.einsum("ek,kl,el->e", _BELL_MATRIX, gram, _BELL_MATRIX)
+    return dict(zip(BellElement, probs.tolist()))
 
 
 def _split_keep(num_qubits: int, keep) -> tuple[list, list]:

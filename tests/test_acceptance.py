@@ -6,11 +6,9 @@ assert the measured wall time as well.
 """
 
 import contextlib
-import os
 import time
 
 import numpy as np
-import pytest
 
 from teleclone import entanglement as ent
 from teleclone import mixed as mx
@@ -170,11 +168,11 @@ def test_criterion_8_mixed_state_suite():
 
 def test_criterion_9_uniform_outcomes():
     with criterion(
-        "criterion 9: exact outcome probabilities 4^-n +- 1e-9; 1e5 seeded "
+        "criterion 9: exact outcome probabilities 4^-n +- 1e-9 for n=2..4; 1e5 seeded "
         "samples within 3 sigma of 1/16"
     ):
         rng = np.random.default_rng(109)
-        for n in (2, 3):
+        for n in (2, 3, 4):
             psi = StateVector.random(n, rng)
             probs = pt.outcome_probabilities(psi, CloneParams(p=0.5, n=n))
             assert len(probs) == 4**n
@@ -190,13 +188,9 @@ def test_criterion_9_uniform_outcomes():
             assert abs(count - samples / 16) <= 3 * sigma
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TELECLONE_LARGE"),
-    reason="20-qubit mixed extension; set TELECLONE_LARGE=1 to run",
-)
 def test_criterion_8_extension_two_qubit_mixed_large():
     with criterion(
-        "criterion 8 extension (--large): n=2 mixed via the 20-qubit register, "
+        "criterion 8 extension: n=2 mixed via the 20-qubit register, "
         "formula vs Uhlmann within 1e-8, <10 min"
     ):
         start = time.perf_counter()

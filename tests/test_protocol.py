@@ -21,6 +21,40 @@ from teleclone.protocol import (
 from teleclone.qstate import StateVector
 
 
+#: n -> (p, the outcomes run(psi, CloneParams(p, n), seed=s) draws for
+#: s = 0, 1, ...); the draws depend on the seed alone, since every
+#: conditional Bell probability is 1/4
+PINNED_OUTCOMES = {
+    2: (
+        0.3,
+        (
+            "PSI+,PHI-", "PSI+,PSI-", "PHI-,PHI-", "PHI+,PHI+", "PSI-,PSI+",
+            "PSI-,PSI-", "PSI+,PHI-", "PSI+,PSI-", "PHI-,PSI-", "PSI-,PHI-",
+            "PSI-,PHI+", "PHI+,PHI-", "PHI-,PSI-", "PSI-,PSI-", "PSI-,PHI-",
+            "PSI+,PSI-", "PSI+,PHI-", "PSI-,PHI+", "PHI-,PSI+", "PHI-,PSI-",
+            "PHI-,PHI-", "PSI-,PSI+", "PHI-,PHI+", "PSI+,PSI+", "PHI-,PHI-",
+            "PHI+,PHI+", "PHI-,PHI+", "PSI+,PHI-", "PSI-,PSI-", "PHI+,PSI+",
+            "PHI+,PHI-", "PSI-,PHI+",
+        ),
+    ),
+    3: (
+        0.6,
+        (
+            "PSI+,PHI-,PHI+", "PSI+,PSI-,PHI+", "PHI-,PHI-,PSI-", "PHI+,PHI+,PSI-",
+            "PSI-,PSI+,PSI-", "PSI-,PSI-,PSI+", "PSI+,PHI-,PHI-", "PSI+,PSI-,PSI-",
+        ),
+    ),
+    4: (
+        0.5,
+        (
+            "PSI+,PHI-,PHI+,PHI+", "PSI+,PSI-,PHI+,PSI-", "PHI-,PHI-,PSI-,PHI+",
+            "PHI+,PHI+,PSI-,PSI+", "PSI-,PSI+,PSI-,PHI+", "PSI-,PSI-,PSI+,PHI-",
+            "PSI+,PHI-,PHI-,PHI-", "PSI+,PSI-,PSI-,PHI+",
+        ),
+    ),
+}
+
+
 def random_input(n, seed):
     return StateVector.random(n, np.random.default_rng(seed))
 
@@ -44,6 +78,10 @@ class TestChannel:
         assert abs(channel.state.norm - 1.0) < 1e-9
         entropy = qstate.entanglement_entropy(channel.state, range(n))
         assert entropy == pytest.approx(n, abs=1e-6)
+
+    def test_oversize_channel_rejected(self):
+        with pytest.raises(ValueError, match="20-qubit limit"):
+            build_channel(CloneParams(p=0.5, n=6))
 
 
 class TestAttachInput:
@@ -248,6 +286,32 @@ class TestRun:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("n", sorted(PINNED_OUTCOMES))
+    def test_seeded_outcomes_pinned(self, n):
+        p, expected = PINNED_OUTCOMES[n]
+        params = CloneParams(p=p, n=n)
+        psi = random_input(n, 100 + n)
+        channel = build_channel(params)
+        drawn = [
+            str(run(psi, params, seed=s, channel=channel).outcome)
+            for s in range(len(expected))
+        ]
+        assert drawn == list(expected)
+
+    def test_sampled_measurement_is_uniform(self):
+        # chi-squared over 8192 sampled measure_senders draws at n=2;
+        # 37.70 is the 99.9% critical value for 15 degrees of freedom
+        params = CloneParams(p=0.5, n=2)
+        total = attach_input(random_input(2, 45), build_channel(params))
+        draws = 8192
+        counts = dict.fromkeys(BellOutcome.all_outcomes(2), 0)
+        for s in range(draws):
+            outcome, _, _ = measure_senders(total, params, rng=np.random.default_rng(s))
+            counts[outcome] += 1
+        expected = draws / 16
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 <= 37.70
+
     def test_counts_total_and_determinism(self):
         params = CloneParams(p=0.5, n=2)
         psi = random_input(2, 44)

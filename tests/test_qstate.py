@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from teleclone import qstate
 from teleclone.cloning import CloneParams, cloner_basis_state
-from teleclone.protocol import build_channel
+from teleclone.protocol import attach_input, build_channel, outcome_probabilities
 from teleclone.qstate import (
     PAULI_X,
     PAULI_Z,
@@ -18,6 +20,12 @@ RT2 = 1 / np.sqrt(2)
 
 def bell_state() -> StateVector:
     return StateVector.from_amplitudes([RT2, 0, 0, RT2])
+
+
+def tensordot_residual(state: StateVector, pair, element: BellElement) -> np.ndarray:
+    """Reference <element|_pair psi by a full-state contraction (unnormalized)."""
+    psi = state.amplitudes.reshape([2] * state.num_qubits)
+    return np.tensordot(element.tensor().conj(), psi, axes=([0, 1], list(pair))).reshape(-1)
 
 
 def random_density(num_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -97,6 +105,37 @@ class TestBellProject:
     def test_same_position_rejected(self):
         with pytest.raises(ValueError):
             qstate.bell_project(bell_state(), (0, 0), BellElement.PHI_PLUS)
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 6])
+    def test_matches_tensordot_reference(self, num_qubits):
+        rng = np.random.default_rng(40 + num_qubits)
+        state = StateVector.random(num_qubits, rng)
+        for i, j in itertools.permutations(range(num_qubits), 2):
+            probs = qstate.bell_probabilities(state, (i, j))
+            for element in BellElement:
+                reference = tensordot_residual(state, (i, j), element)
+                expected = float(np.vdot(reference, reference).real)
+                collapsed, prob = qstate.bell_project(state, (i, j), element)
+                assert abs(prob - expected) <= 1e-12
+                assert abs(probs[element] - expected) <= 1e-12
+                np.testing.assert_allclose(
+                    collapsed.amplitudes * np.sqrt(prob), reference, rtol=0, atol=1e-12
+                )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_outcome_probabilities_match_tensordot_reference(self, n):
+        # project the sender pairs one after another with the reference
+        # contraction; the pair (A_k, A'_k) sits at (0, n - k) by then
+        params = CloneParams(p=0.3, n=n)
+        psi = StateVector.random(n, np.random.default_rng(50 + n))
+        probs = outcome_probabilities(psi, params)
+        total = attach_input(psi, build_channel(params))
+        for outcome, prob in probs.items():
+            state = total
+            for k, element in enumerate(outcome.elements):
+                residual = tensordot_residual(state, (0, n - k), element)
+                state = StateVector(residual, state.num_qubits - 2)
+            assert abs(prob - state.norm**2) <= 1e-12
 
     def test_elements_orthonormal(self):
         vectors = [e.tensor().reshape(-1) for e in BellElement]
@@ -223,6 +262,11 @@ class TestValidation:
     def test_register_cap(self):
         with pytest.raises(ValueError):
             StateVector(np.zeros(2**21, dtype=complex), 21)
+
+    def test_tensor_rejects_oversize_product(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match="20-qubit limit"):
+            qstate.tensor(StateVector.random(11, rng), StateVector.random(10, rng))
 
     def test_density_must_be_hermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
