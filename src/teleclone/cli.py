@@ -1,7 +1,9 @@
 """Command-line front end: protocol runs, sweeps, and the invariant suite.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage error (a register
-beyond the 20-qubit limit is one; it leaves no output file).  CSV output
+Exit codes: 0 success, 1 invariant failure (a failed verify check or a
+MonotonicityError), 2 usage error: a bad argument, a register beyond the
+20-qubit limit (refused before it is allocated, leaving no output file)
+or running out of memory.  CSV output
 uses '.' decimals, 12 significant digits, and LF line endings so that
 identical configs produce byte-identical files; JSON output is sorted-key.
 """
@@ -315,8 +317,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except mx.MonotonicityError as exc:
+        print(f"invariant failed: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

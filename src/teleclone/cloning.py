@@ -7,12 +7,13 @@ the terms where B is shifted.  Superposing these basis outputs clones an
 arbitrary input with input-independent fidelities F_B(p) and F_C(p).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityMatrix, StateVector
+from .qstate import DensityMatrix, StateVector, _check_register_size
 
 
 @dataclass(frozen=True)
@@ -66,20 +67,43 @@ def cloner_basis_state(j: int, params: CloneParams) -> StateVector:
     return StateVector(amps, 3 * params.n)
 
 
+@functools.cache
+def _machine_support(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, j) of the d + 2d(d-1) nonzero terms of all d machine outputs.
+
+    In cloner_basis_state's order: the d terms (j, j, j), then the terms
+    (j, k, k) that carry p, then the terms (k, j, k) that carry q, k != j.
+    """
+    j = np.arange(d)
+    k = (j[:, None] + np.arange(1, d)) % d
+    jk = np.broadcast_to(j[:, None], k.shape).ravel()
+    k = k.ravel()
+    index = np.concatenate([(j * d + j) * d + j, (jk * d + k) * d + k, (k * d + jk) * d + k])
+    rows = np.concatenate([j, jk, jk])
+    index.flags.writeable = rows.flags.writeable = False
+    return index, rows
+
+
 def target_state(alphas, params: CloneParams) -> StateVector:
     """Superposition sum_j alphas[j] * cloner_basis_state(j) on 3n qubits.
 
     This is the state the telecloning protocol delivers to the receivers;
     tracing it down to either clone register gives the closed-form clones.
+    Built in one scatter; the d outputs have disjoint supports.
     """
     alphas = np.asarray(alphas, dtype=complex)
-    if alphas.size != params.d:
-        raise ValueError(f"expected {params.d} amplitudes, got {alphas.size}")
-    amps = np.zeros(params.d**3, dtype=complex)
-    for j, alpha in enumerate(alphas):
-        if alpha != 0:
-            amps += alpha * cloner_basis_state(j, params).amplitudes
-    return StateVector(amps, 3 * params.n)
+    d = params.d
+    if alphas.size != d:
+        raise ValueError(f"expected {d} amplitudes, got {alphas.size}")
+    _check_register_size(3 * params.n)
+    index, rows = _machine_support(d)
+    shifted = d * (d - 1)
+    weights = np.repeat(np.array([1.0, params.p, params.q], dtype=complex), [d, shifted, shifted])
+    # the rounding of cloner_basis_state: scale first, then weight by alpha_j
+    weights /= math.sqrt(params.normalization)
+    amps = np.zeros(d**3, dtype=complex)
+    amps[index] = alphas[rows] * weights
+    return StateVector._owned(amps, 3 * params.n)
 
 
 def clone_pair(psi: StateVector, params: CloneParams) -> tuple[DensityMatrix, DensityMatrix]:

@@ -24,6 +24,10 @@ from .qstate import (
 )
 
 
+class MonotonicityError(AssertionError):
+    """Tracing the purified clone down lowered its fidelity: an invariant failed."""
+
+
 @dataclass(frozen=True)
 class MixedInput:
     """Computational-basis eigenvalues of an n-qubit mixed state."""
@@ -165,7 +169,7 @@ def monotonicity_check(
     F_mixed compares the traced-down clone with the mixed input via the
     Uhlmann fidelity; F_pure compares the purified clone pair with the
     purification.  Tracing is a quantum operation, so F_mixed can only be
-    larger; a violation beyond 1e-9 raises.
+    larger; a violation beyond 1e-9 raises MonotonicityError.
     """
     _check_protocol_params(mixed, params)
     transcript = _run_purified(mixed, params, outcome, seed)
@@ -174,7 +178,7 @@ def monotonicity_check(
     rho_b = partial_trace(rho_bb, range(mixed.n))
     f_mixed = uhlmann_fidelity(mixed.density(), rho_b)
     if f_mixed < f_pure - 1e-9:
-        raise AssertionError(
+        raise MonotonicityError(
             f"tracing decreased fidelity: F_mixed={f_mixed} < F_pure={f_pure}"
         )
     return f_mixed, f_pure

@@ -19,14 +19,12 @@ import numpy as np
 
 from .cloning import CloneParams, cloner_basis_state, target_state
 from .qstate import (
-    PAULI_X,
-    PAULI_Z,
     BellElement,
     StateVector,
     _bell_sum,
+    _check_position,
     _check_register_size,
     _pair_blocks,
-    apply_local,
     bell_probabilities,
     bell_project,
     entanglement_entropy,
@@ -111,7 +109,7 @@ def build_channel(params: CloneParams) -> ChannelState:
     d = params.d
     blocks = [cloner_basis_state(k, params).amplitudes for k in range(d)]
     amps = np.concatenate(blocks) / math.sqrt(d)
-    return ChannelState(StateVector(amps, 4 * params.n), params)
+    return ChannelState(StateVector._owned(amps, 4 * params.n), params)
 
 
 def attach_input(psi: StateVector, channel: ChannelState) -> StateVector:
@@ -204,16 +202,40 @@ def correction_plan(outcome: BellOutcome) -> tuple:
     return tuple(plan)
 
 
-_CORRECTION_OPS = {"x": PAULI_X, "z": PAULI_Z}
-
-
 def apply_corrections(state: StateVector, plan, offset: int = 0) -> StateVector:
-    """Apply a correction plan; `offset` shifts targets past spectator qubits."""
+    """Apply a correction plan; `offset` shifts targets past spectator qubits.
+
+    The plan is folded, in order, into a Pauli frame: the product of its
+    operators equals sign * prod_q Z_q^z[q] X_q^x[q], with X applied first.
+    An X on a qubit that already carries a Z anticommutes past it, so the
+    sign flips then (Z X = -X Z).  The frame acts as one copy of the tensor
+    view with the flipped axes reversed (X: index XOR), then a negation of
+    the |1> slice of each Z qubit, then the sign: exactly what the plan's
+    one-qubit Paulis, applied in turn, give.
+    """
+    m = state.num_qubits
+    flips, phases, negate = [False] * m, [False] * m, False
     for correction in plan:
-        op = _CORRECTION_OPS[correction.op]
+        if correction.op not in ("x", "z"):
+            raise ValueError(f"unknown correction op {correction.op!r}")
         for position in correction.targets:
-            state = apply_local(state, op, offset + position)
-    return state
+            q = offset + position
+            _check_position(q, m)
+            if correction.op == "x":
+                flips[q] = not flips[q]
+                negate ^= phases[q]
+            else:
+                phases[q] = not phases[q]
+    if not (negate or any(flips) or any(phases)):
+        return state
+    out = state._tensor_view()[tuple(slice(None, None, -1 if f else 1) for f in flips)].copy()
+    for q in range(m):
+        if phases[q]:
+            ones = out[(slice(None),) * q + (1,)]
+            np.negative(ones, out=ones)
+    if negate:
+        np.negative(out, out=out)
+    return StateVector._owned(out.reshape(-1), m)
 
 
 @dataclass(frozen=True)
@@ -260,6 +282,7 @@ def run(
     """
     if psi.num_qubits != params.n:
         raise ValueError("input register size does not match params.n")
+    _check_register_size(5 * params.n)  # the attached state, before any allocation
     if abs(psi.norm - 1.0) > 1e-6:
         raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
     psi = psi.normalized()
@@ -362,6 +385,7 @@ def entanglement_cost_check(
     n_ref = input_state.num_qubits - params.n
     if n_ref < 1:
         raise ValueError("input must carry at least one reference qubit")
+    _check_register_size(input_state.num_qubits + 4 * params.n)
     if outcome is None and seed is None:
         outcome = BellOutcome.all_phi_plus(params.n)
     rng = np.random.default_rng(seed) if seed is not None else None

@@ -64,7 +64,9 @@ class StateVector:
 
     def __post_init__(self):
         _check_register_size(self.num_qubits)
-        amps = np.array(self.amplitudes, dtype=complex)
+        self._freeze(np.array(self.amplitudes, dtype=complex))
+
+    def _freeze(self, amps: np.ndarray) -> None:
         if amps.ndim != 1:
             raise ValueError("amplitudes must be one-dimensional")
         if amps.size != 1 << self.num_qubits:
@@ -74,6 +76,20 @@ class StateVector:
             )
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _owned(cls, amps: np.ndarray, num_qubits: int) -> "StateVector":
+        """Wrap a complex array the package has just allocated, without a copy.
+
+        The same checks as the public constructor, which copies instead.
+        The array is frozen in place, so the caller must hold no other
+        writable reference to it.
+        """
+        _check_register_size(num_qubits)
+        state = object.__new__(cls)
+        object.__setattr__(state, "num_qubits", num_qubits)
+        state._freeze(np.asarray(amps, dtype=complex))
+        return state
 
     @classmethod
     def from_amplitudes(cls, amplitudes, normalize: bool = False) -> "StateVector":
@@ -136,7 +152,10 @@ class DensityMatrix:
         dim = 1 << self.num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got {mat.shape}")
-        if not np.allclose(mat, mat.conj().T, atol=1e-9, rtol=0):
+        # written so that a NaN or inf entry (inf - inf = NaN) fails it too
+        with np.errstate(invalid="ignore"):
+            asymmetry = np.abs(mat - mat.conj().T).max()
+        if not asymmetry <= 1e-9:
             raise ValueError("density matrix is not Hermitian within 1e-9")
         trace = mat.trace()
         if abs(trace - 1.0) > 1e-9:
@@ -198,7 +217,8 @@ class BellElement(Enum):
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; `a`'s register occupies the high bits of the result."""
     _check_register_size(a.num_qubits + b.num_qubits)
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.num_qubits + b.num_qubits)
+    amps = np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)  # = np.kron for vectors
+    return StateVector._owned(amps, a.num_qubits + b.num_qubits)
 
 
 def apply_local(state: StateVector, op: np.ndarray, target: int) -> StateVector:
@@ -263,7 +283,7 @@ def bell_project(
             f"outcome {element.label} on pair {pair} has probability {prob:.3e}"
         )
     residual /= math.sqrt(2 * prob)
-    return StateVector(residual, state.num_qubits - 2), prob
+    return StateVector._owned(residual, state.num_qubits - 2), prob
 
 
 def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> dict:

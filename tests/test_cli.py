@@ -129,6 +129,24 @@ class TestRunCommand:
         assert proc.returncode == 2, proc.stderr
         assert "20-qubit limit" in proc.stderr
 
+    def test_oversize_register_refused_before_the_channel(self, monkeypatch, capsys):
+        def no_channel(params):
+            raise AssertionError("build_channel called for an oversize run")
+
+        monkeypatch.setattr(teleclone.protocol, "build_channel", no_channel)
+        code = main(["run", "--n", "5", "--input", "ghz", "--seed", "1"])
+        assert code == 2
+        assert "20-qubit limit" in capsys.readouterr().err
+
+    def test_memory_error_exit_2(self, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(teleclone.protocol, "run", out_of_memory)
+        code = main(["run", "--n", "2", "--input", "bell", "--outcome", "PHI+,PHI+"])
+        assert code == 2
+        assert "out of memory" in capsys.readouterr().err
+
     def test_basis_preset(self, tmp_path):
         out = tmp_path / "t.json"
         code = main(
@@ -283,6 +301,14 @@ class TestVerifyCommand:
         report = read_json(out)
         assert report["passed"] is True
         assert report["groups"][0]["name"] == "transformations"
+
+    def test_monotonicity_error_exit_1(self, monkeypatch, capsys):
+        def violated(groups, seed):
+            raise teleclone.MonotonicityError("tracing decreased fidelity")
+
+        monkeypatch.setattr(teleclone.verify, "run_verification", violated)
+        assert main(["verify", "--group", "mixed"]) == 1
+        assert "tracing decreased fidelity" in capsys.readouterr().err
 
     def test_unknown_group_exit_2(self, capsys):
         code = main(["verify", "--group", "bogus"])

@@ -147,6 +147,35 @@ class TestClonePair:
             )
 
 
+class TestTargetState:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_scatter_matches_sum_of_machine_outputs(self, n, p):
+        params = CloneParams(p=p, n=n)
+        alphas = StateVector.random(n, np.random.default_rng(25 + n)).amplitudes
+        expected = sum(
+            alpha * cloner_basis_state(j, params).amplitudes for j, alpha in enumerate(alphas)
+        )
+        np.testing.assert_allclose(
+            target_state(alphas, params).amplitudes, expected, rtol=0, atol=1e-15
+        )
+
+    def test_zero_amplitudes_leave_their_terms_empty(self):
+        params = CloneParams(p=0.4, n=2)
+        np.testing.assert_array_equal(
+            target_state([0, 0, 1, 0], params).amplitudes,
+            cloner_basis_state(2, params).amplitudes,
+        )
+
+    def test_oversize_register_rejected(self):
+        with pytest.raises(ValueError, match="20-qubit limit"):
+            target_state(np.ones(128), CloneParams(p=0.5, n=7))
+
+    def test_amplitude_count_must_match(self):
+        with pytest.raises(ValueError):
+            target_state([1, 0], CloneParams(p=0.5, n=2))
+
+
 class TestFidelities:
     def test_symmetric_d4_reaches_optimal_bound(self):
         assert clone_fidelities(CloneParams(p=0.5, n=2)) == pytest.approx((0.7, 0.7))

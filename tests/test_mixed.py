@@ -198,6 +198,13 @@ class TestMonotonicity:
         assert f_mixed == pytest.approx(1.0, abs=1e-8)
         assert f_mixed >= f_pure
 
+    def test_violation_raises_named_error(self, monkeypatch):
+        monkeypatch.setattr(mx, "uhlmann_fidelity", lambda rho1, rho2: 0.5)
+        mixed = MixedInput(np.array([0.7, 0.3]), 1)
+        with pytest.raises(mx.MonotonicityError, match="tracing decreased fidelity") as info:
+            mx.monotonicity_check(mixed, mixed.protocol_params(0.5))
+        assert not isinstance(info.value, ValueError)
+
 
 class TestSampleSimplex:
     def test_rows_are_distributions(self):

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from teleclone import qstate
+from teleclone import protocol, qstate
 from teleclone.cloning import CloneParams, clone_fidelities, cloner_basis_state, target_state
 from teleclone.protocol import (
     BellOutcome,
+    Correction,
     attach_input,
     build_channel,
     correction_plan,
@@ -18,7 +19,7 @@ from teleclone.protocol import (
     run,
     sample_outcomes,
 )
-from teleclone.qstate import StateVector
+from teleclone.qstate import PAULI_X, PAULI_Z, StateVector
 
 
 #: n -> (p, the outcomes run(psi, CloneParams(p, n), seed=s) draws for
@@ -57,6 +58,15 @@ PINNED_OUTCOMES = {
 
 def random_input(n, seed):
     return StateVector.random(n, np.random.default_rng(seed))
+
+
+def sequential_corrections(state, plan, offset=0):
+    """Reference route: every Pauli of the plan applied in turn by apply_local."""
+    ops = {"x": PAULI_X, "z": PAULI_Z}
+    for correction in plan:
+        for position in correction.targets:
+            state = qstate.apply_local(state, ops[correction.op], offset + position)
+    return state
 
 
 class TestChannel:
@@ -215,6 +225,55 @@ class TestCorrectionPlan:
         assert forward.fidelity_with(reverse) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestPauliFrame:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_sequential_route_for_every_outcome(self, n):
+        # two spectator qubits in front, so offset=2 addresses the same
+        # (B, C, anc) block; forward and reversed plans, bit for bit
+        state = random_input(3 * n + 2, 50 + n)
+        for outcome in BellOutcome.all_outcomes(n):
+            plan = correction_plan(outcome)
+            for ordered in (plan, plan[::-1]):
+                for offset in (0, 2):
+                    np.testing.assert_array_equal(
+                        apply_corrections(state, ordered, offset=offset).amplitudes,
+                        sequential_corrections(state, ordered, offset).amplitudes,
+                    )
+
+    def test_z_before_x_flips_the_global_sign(self):
+        plan = correction_plan(BellOutcome.parse("PSI-"))
+        state = random_input(3, 54)
+        forward = apply_corrections(state, plan)
+        reverse = apply_corrections(state, plan[::-1])
+        # three qubits carry both X and Z, so the orders differ by (-1)^3
+        np.testing.assert_array_equal(reverse.amplitudes, -forward.amplitudes)
+
+    def test_cancelling_plan_keeps_its_sign(self):
+        # Z X Z X = -I: the flips and phases cancel, the sign does not
+        plan = [Correction(op, 0, (1,)) for op in "zxzx"]
+        state = random_input(2, 57)
+        out = apply_corrections(state, plan)
+        np.testing.assert_array_equal(out.amplitudes, -state.amplitudes)
+        np.testing.assert_array_equal(
+            out.amplitudes, sequential_corrections(state, plan).amplitudes
+        )
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(ValueError, match="unknown correction op"):
+            apply_corrections(random_input(2, 58), [Correction("y", 0, (0,))])
+
+    def test_position_out_of_range(self):
+        plan = correction_plan(BellOutcome.parse("PSI+,PHI+"))
+        with pytest.raises(ValueError, match="out of range"):
+            apply_corrections(random_input(6, 55), plan, offset=2)
+
+    def test_result_is_read_only(self):
+        plan = correction_plan(BellOutcome.parse("PSI-,PHI-"))
+        out = apply_corrections(random_input(6, 56), plan)
+        with pytest.raises(ValueError):
+            out.amplitudes[0] = 1.0
+
+
 class TestRun:
     def test_every_outcome_reaches_target_n2(self):
         params = CloneParams(p=0.5, n=2)
@@ -264,6 +323,14 @@ class TestRun:
         assert np.std(arr[:, 1]) < 1e-9
         assert arr[0, 0] == pytest.approx(f_b, abs=1e-9)
         assert arr[0, 1] == pytest.approx(f_c, abs=1e-9)
+
+    def test_oversize_register_refused_before_the_channel(self, monkeypatch):
+        def no_channel(params):
+            raise AssertionError("build_channel called for an oversize run")
+
+        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        with pytest.raises(ValueError, match="register size 25 is outside the 20-qubit limit"):
+            run(random_input(5, 46), CloneParams(p=0.5, n=5), outcome=BellOutcome.all_phi_plus(5))
 
     def test_requires_normalized_input(self):
         params = CloneParams(p=0.5, n=2)
@@ -331,6 +398,16 @@ class TestEntanglementCost:
             CloneParams(p=0.5, n=2), outcome=BellOutcome.parse("PSI-,PHI-")
         )
         assert cost == pytest.approx(2.0, abs=1e-6)
+
+    def test_oversize_register_refused_before_the_channel(self, monkeypatch):
+        def no_channel(params):
+            raise AssertionError("build_channel called for an oversize check")
+
+        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        # (n + n_ref) + 4n = 13 + 8 = 21 qubits
+        wide = random_input(13, 47)
+        with pytest.raises(ValueError, match="register size 21 is outside the 20-qubit limit"):
+            entanglement_cost_check(CloneParams(p=0.5, n=2), input_state=wide)
 
     def test_product_reference_yields_zero(self):
         product = qstate.tensor(random_input(2, 45), StateVector.basis(0, 2))

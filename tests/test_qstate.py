@@ -46,11 +46,35 @@ class TestTensor:
         b = StateVector.random(3, rng)
         assert abs(qstate.tensor(a, b).norm - 1.0) < 1e-12
 
+    def test_equals_kron(self):
+        rng = np.random.default_rng(3)
+        a, b = StateVector.random(3, rng), StateVector.random(5, rng)
+        np.testing.assert_array_equal(
+            qstate.tensor(a, b).amplitudes, np.kron(a.amplitudes, b.amplitudes)
+        )
+
     def test_bell_times_zero(self):
         out = qstate.tensor(bell_state(), StateVector.basis(0, 1))
         expected = np.zeros(8)
         expected[0] = expected[6] = RT2
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
+
+
+class TestOwnership:
+    def test_public_constructor_copies(self):
+        amps = np.array([RT2, 0, 0, RT2], dtype=complex)
+        state = StateVector(amps, 2)
+        amps[0] = 1.0
+        assert state.amplitudes[0] == RT2
+        assert state.amplitudes.flags.writeable is False
+
+    def test_internal_results_are_read_only(self):
+        rng = np.random.default_rng(2)
+        total = qstate.tensor(StateVector.random(2, rng), StateVector.random(2, rng))
+        residual, _ = qstate.bell_project(total, (0, 2), BellElement.PHI_PLUS)
+        for state in (total, residual):
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 1.0
 
 
 class TestApplyLocal:
@@ -271,6 +295,22 @@ class TestValidation:
     def test_density_must_be_hermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
+            DensityMatrix(mat, 1)
+
+    def test_density_hermitian_bound_is_1e9(self):
+        # an anti-Hermitian perturbation s*E (E^dagger = -E) makes
+        # mat - mat^dagger = 2s*E: 2e-9 is refused, 0.5e-9 is within the bound
+        base = np.diag([0.5, 0.5]).astype(complex)
+        anti = np.array([[0, 1], [-1, 0]], dtype=complex)
+        DensityMatrix(base + 0.25e-9 * anti, 1)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(base + 1e-9 * anti, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_rejects_nonfinite_entries(self, bad):
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(mat, 1)
 
     def test_density_must_have_unit_trace(self):
