@@ -3,14 +3,13 @@
 Exit codes: 0 success, 1 invariant failure (a failed verify check or a
 MonotonicityError), 2 usage error: a bad argument, a register beyond the
 20-qubit limit (refused before it is allocated, leaving no output file)
-or running out of memory.  CSV output
-uses '.' decimals, 12 significant digits, and LF line endings so that
+or running out of memory.  CSV cells are '%.12g' numbers ('.' decimals,
+12 significant digits), never quoted, with LF line endings, so that
 identical configs produce byte-identical files; JSON output is sorted-key.
 """
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
@@ -25,10 +24,6 @@ from .cloning import CloneParams, fidelity_curve
 from .qstate import StateVector, uhlmann_fidelity
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.12g}"
-
-
 @contextlib.contextmanager
 def _open_output(path: str | None):
     if path is None or path == "-":
@@ -38,11 +33,22 @@ def _open_output(path: str | None):
             yield handle
 
 
-def _write_csv(path: str | None, header, rows) -> None:
+def _rows(template: str, *columns) -> str:
+    """One `template % row` line per index of the equal-length columns.
+
+    Each numpy column is converted to Python scalars once; '%.12g' is the
+    same text as format(float(x), '.12g') for every float, and never
+    contains a comma, quote or newline, so no cell needs CSV quoting.
+    """
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return "".join(template % row for row in zip(*lists))
+
+
+def _write_csv(path: str | None, header, body: str) -> None:
+    """Write the header line and the formatted body in one write."""
+    text = ",".join(header) + "\n" + body
     with _open_output(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(text)
 
 
 def _emit_summary(summary: dict, to_stderr: bool) -> None:
@@ -99,22 +105,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _delta_row(mu_value: float, p: float) -> list:
-    f_b, f_c = fidelity_curve(p, 4)
-    c_b = ent.clone_concurrence(mu_value, float(f_b))
-    c_c = ent.clone_concurrence(mu_value, float(f_c))
-    return [
-        _fmt(mu_value),
-        _fmt(p),
-        _fmt(f_b),
-        _fmt(f_c),
-        _fmt(c_b),
-        _fmt(c_c),
-        _fmt(ent.delta(mu_value, p)),
-    ]
-
-
 _DELTA_HEADER = ["mu", "p", "f_b", "f_c", "c_b", "c_c", "delta"]
+
+
+def _delta_rows(mu_values, p_values, f_b, f_c, c_b, c_c, values) -> str:
+    """sweep-delta CSV rows, mu-major; c_b, c_c and values are (mu, p) grids.
+
+    The (p, f_b, f_c) cells are the same for every mu, so they are
+    formatted once; each mu is formatted once into its row template.
+    """
+    shared = _rows("%.12g,%.12g,%.12g\n", p_values, f_b, f_c).splitlines()
+    return "".join(
+        _rows("%.12g,%%s,%%.12g,%%.12g,%%.12g\n" % mu_value, shared, cb, cc, d)
+        for mu_value, cb, cc, d in zip(mu_values.tolist(), c_b, c_c, values)
+    )
 
 
 def _region_info(mu_value: float) -> dict:
@@ -128,58 +132,52 @@ def _region_info(mu_value: float) -> dict:
 
 
 def cmd_sweep_delta(args) -> int:
-    summary_to_stderr = args.output is None
-    if args.mu is not None and args.p is not None:
-        _write_csv(args.output, _DELTA_HEADER, [_delta_row(args.mu, args.p)])
-        summary = {"delta": float(ent.delta(args.mu, args.p)), **_region_info(args.mu)}
-        _emit_summary(summary, summary_to_stderr)
-        return 0
-    if args.mu is not None:
-        ps = np.linspace(0.0, 1.0, int(round(1.0 / args.p_step)) + 1)
-        rows = [_delta_row(args.mu, float(p)) for p in ps]
-        _write_csv(args.output, _DELTA_HEADER, rows)
-        values = ent.delta(args.mu, ps)
-        summary = {
-            "rows": len(rows),
-            "min_delta": float(values.min()),
-            "violations": int(np.sum(values < -1e-9)),
-            **_region_info(args.mu),
-        }
-        _emit_summary(summary, summary_to_stderr)
-        return 0
-
-    grid = ent.SweepGrid(mu_step=args.mu_step, p_step=args.p_step)
-    report = ent.sweep_delta(grid)
-    rows = []
-    for mi, mu_value in enumerate(report.mu_values):
-        for pi, p in enumerate(report.p_values):
-            rows.append(
-                [
-                    _fmt(mu_value),
-                    _fmt(p),
-                    _fmt(report.fidelity_b[pi]),
-                    _fmt(report.fidelity_c[pi]),
-                    _fmt(report.concurrence_b[mi, pi]),
-                    _fmt(report.concurrence_c[mi, pi]),
-                    _fmt(report.delta_values[mi, pi]),
-                ]
-            )
-    _write_csv(args.output, _DELTA_HEADER, rows)
-    _emit_summary(report.summary(), summary_to_stderr)
+    if args.mu is None:
+        report = ent.sweep_delta(ent.SweepGrid(mu_step=args.mu_step, p_step=args.p_step))
+        body = _delta_rows(
+            report.mu_values,
+            report.p_values,
+            report.fidelity_b,
+            report.fidelity_c,
+            report.concurrence_b,
+            report.concurrence_c,
+            report.delta_values,
+        )
+        summary = report.summary()
+    else:
+        if args.p is not None:
+            ps = np.array([args.p])
+        else:
+            ps = ent.SweepGrid(p_step=args.p_step).p_values()
+        values = ent.delta(args.mu, ps)  # validates mu and p first
+        f_b, f_c = fidelity_curve(ps, 4)
+        c_b = ent.clone_concurrence(args.mu, f_b)
+        c_c = ent.clone_concurrence(args.mu, f_c)
+        body = _delta_rows(
+            np.array([args.mu]), ps, f_b, f_c, c_b[None], c_c[None], values[None]
+        )
+        if args.p is not None:
+            summary = {"delta": float(values[0])}
+        else:
+            summary = {
+                "rows": int(ps.size),
+                "min_delta": float(values.min()),
+                "violations": int(np.sum(values < -1e-9)),
+            }
+        summary.update(_region_info(args.mu))
+    _write_csv(args.output, _DELTA_HEADER, body)
+    _emit_summary(summary, args.output is None)
     return 0
 
 
 def cmd_sweep_fidelity(args) -> int:
     params_check = CloneParams(p=0.0, n=args.n)  # validates n
-    ps = np.linspace(0.0, 1.0, int(round(1.0 / args.p_step)) + 1)
+    ps = ent.SweepGrid(p_step=args.p_step).p_values()
     f_b, f_c = fidelity_curve(ps, params_check.d)
-    rows = [
-        [_fmt(p), _fmt(1.0 - p), _fmt(fb), _fmt(fc)]
-        for p, fb, fc in zip(ps, f_b, f_c)
-    ]
-    _write_csv(args.output, ["p", "q", "f_b", "f_c"], rows)
+    body = _rows("%.12g,%.12g,%.12g,%.12g\n", ps, 1.0 - ps, f_b, f_c)
+    _write_csv(args.output, ["p", "q", "f_b", "f_c"], body)
     summary = {
-        "rows": len(rows),
+        "rows": int(ps.size),
         "d": params_check.d,
         "f_b_range": [float(f_b.min()), float(f_b.max())],
         "f_c_range": [float(f_c.min()), float(f_c.max())],
@@ -197,9 +195,8 @@ def cmd_mixed(args) -> int:
     plans.append(np.full(mixed_dim, 1.0 / mixed_dim))
     plans.extend(mx.sample_simplex(mixed_dim, args.samples, rng))
 
-    rows = []
-    violations = 0
     records = []
+    rows = []  # alpha_0..alpha_{2^n-1}, p, f_mixed, lower, f_pure, ok
     for alphas in plans:
         mixed = mx.MixedInput(np.asarray(alphas, dtype=float), args.n)
         params = mixed.protocol_params(args.p)
@@ -207,12 +204,9 @@ def cmd_mixed(args) -> int:
         lower, _ = mx.fidelity_bounds(params)
         f_pure, _ = fidelity_curve(args.p, params.d)
         ok = lower - 1e-9 <= f_mixed <= 1.0 + 1e-9 and f_mixed >= float(f_pure) - 1e-9
-        violations += 0 if ok else 1
         records.append((mixed, params, f_mixed))
-        rows.append(
-            [_fmt(a) for a in mixed.alphas]
-            + [_fmt(args.p), _fmt(f_mixed), _fmt(lower), _fmt(f_pure), str(int(ok))]
-        )
+        rows.append([*mixed.alphas.tolist(), args.p, f_mixed, lower, float(f_pure), ok])
+    violations = sum(not row[-1] for row in rows)
 
     # cross-check a few rows against the full simulation before writing
     check_count = 3 if args.n == 1 else 2
@@ -230,7 +224,8 @@ def cmd_mixed(args) -> int:
         "f_pure",
         "ok",
     ]
-    _write_csv(args.output, header, rows)
+    template = "%.12g," * (mixed_dim + 4) + "%d\n"
+    _write_csv(args.output, header, _rows(template, *zip(*rows)))
     summary = {
         "rows": len(rows),
         "violations": violations,

@@ -58,7 +58,7 @@ def eof_from_concurrence(x) -> float:
     1e-12 outside [0, 1] are clamped, anything further raises.
     """
     arr, scalar = _as_float_array(x)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+    if not np.all((-1e-12 <= arr) & (arr <= 1.0 + 1e-12)):
         raise ValueError("concurrence outside [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     lam = (1.0 + np.sqrt(1.0 - arr**2)) / 2.0
@@ -78,9 +78,9 @@ def clone_concurrence(mu_value, fidelity) -> float:
     """
     mu_arr, mu_scalar = _as_float_array(mu_value)
     f_arr, f_scalar = _as_float_array(fidelity)
-    if np.any(mu_arr < -1e-12) or np.any(mu_arr > 0.5 + 1e-12):
+    if not np.all((-1e-12 <= mu_arr) & (mu_arr <= 0.5 + 1e-12)):
         raise ValueError("mu outside [0, 1/2]")
-    if np.any(f_arr < -1e-12) or np.any(f_arr > 1.0 + 1e-12):
+    if not np.all((-1e-12 <= f_arr) & (f_arr <= 1.0 + 1e-12)):
         raise ValueError("fidelity outside [0, 1]")
     value = (8.0 * f_arr / 3.0 - 2.0 / 3.0) * mu_arr - 2.0 / 3.0 * (1.0 - f_arr)
     return _maybe_scalar(np.maximum(0.0, value), mu_scalar and f_scalar)
@@ -124,13 +124,15 @@ def delta(mu_value, p) -> float:
     """
     mu_arr, mu_scalar = _as_float_array(mu_value)
     p_arr, p_scalar = _as_float_array(p)
-    if np.any(p_arr < -1e-12) or np.any(p_arr > 1.0 + 1e-12):
+    if not np.all((-1e-12 <= p_arr) & (p_arr <= 1.0 + 1e-12)):
         raise ValueError("p outside [0, 1]")
     f_b, f_c = _fidelities_d4(np.clip(p_arr, 0.0, 1.0))
+    c_b = clone_concurrence(mu_arr, f_b)  # validates mu before it is scaled
+    c_c = clone_concurrence(mu_arr, f_c)
     value = (
         eof_from_concurrence(np.minimum(2.0 * mu_arr, 1.0))
-        - eof_from_concurrence(clone_concurrence(mu_arr, f_b))
-        - eof_from_concurrence(clone_concurrence(mu_arr, f_c))
+        - eof_from_concurrence(c_b)
+        - eof_from_concurrence(c_c)
     )
     return _maybe_scalar(np.asarray(value), mu_scalar and p_scalar)
 
@@ -163,8 +165,9 @@ class SweepGrid:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.mu_step <= 0 or self.p_step <= 0:
-            raise ValueError("grid steps must be positive")
+        # written so that NaN fails it too
+        if not (0.0 < self.mu_step <= 1.0 and 0.0 < self.p_step <= 1.0):
+            raise ValueError("grid steps must lie in (0, 1]")
         if not 0.0 <= self.mu_min <= self.mu_max <= 0.5:
             raise ValueError("mu range must satisfy 0 <= mu_min <= mu_max <= 0.5")
 

@@ -149,6 +149,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.array(self.entries, dtype=complex)
+        self._freeze(mat)
+        if np.linalg.eigvalsh(mat).min() < -1e-9:
+            raise ValueError("density matrix has an eigenvalue below -1e-9")
+
+    def _freeze(self, mat: np.ndarray) -> None:
         dim = 1 << self.num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got {mat.shape}")
@@ -160,10 +165,21 @@ class DensityMatrix:
         trace = mat.trace()
         if abs(trace - 1.0) > 1e-9:
             raise ValueError(f"density matrix trace {trace} differs from 1 beyond 1e-9")
-        if np.linalg.eigvalsh(mat).min() < -1e-9:
-            raise ValueError("density matrix has an eigenvalue below -1e-9")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
+
+    @classmethod
+    def _gram(cls, mat: np.ndarray, num_qubits: int) -> "DensityMatrix":
+        """The density matrix mat mat^dagger, without a copy or eigvalsh.
+
+        A Gram matrix is positive semidefinite by construction, so only
+        the shape, Hermitian and trace checks of the public constructor
+        run; the result is a fresh array, frozen in place.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "num_qubits", num_qubits)
+        rho._freeze(np.asarray(mat @ mat.conj().T, dtype=complex))
+        return rho
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
@@ -329,7 +345,7 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
     """Reduced density matrix of a pure state on the kept qubits."""
     keep, rest = _split_keep(state.num_qubits, keep)
     mat = state._tensor_view().transpose(keep + rest).reshape(1 << len(keep), -1)
-    return DensityMatrix(mat @ mat.conj().T, len(keep))
+    return DensityMatrix._gram(mat, len(keep))
 
 
 def _entropy_from_eigs(eigs: np.ndarray) -> float:

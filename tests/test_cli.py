@@ -1,13 +1,23 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teleclone
+from teleclone import cli
+from teleclone import entanglement as ent
+from teleclone import mixed as mx
 from teleclone.cli import main
+from teleclone.cloning import fidelity_curve
 
 
 def read_json(path):
@@ -314,3 +324,198 @@ class TestVerifyCommand:
         code = main(["verify", "--group", "bogus"])
         assert code == 2
         assert "unknown group" in capsys.readouterr().err
+
+
+def _fmt(value) -> str:
+    """One CSV cell as the per-cell writer formatted it."""
+    return format(float(value), ".12g")
+
+
+def oracle_csv(header, rows) -> str:
+    """The per-cell route: _fmt cells through csv.writer with LF endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([[_fmt(v) for v in row] for row in rows])
+    return buf.getvalue()
+
+
+def oracle_delta_rows(mu_value, ps):
+    """One row per p, each computed on scalars as the per-cell writer did."""
+    rows = []
+    for p in ps:
+        f_b, f_c = fidelity_curve(p, 4)
+        rows.append(
+            [
+                mu_value,
+                p,
+                f_b,
+                f_c,
+                ent.clone_concurrence(mu_value, float(f_b)),
+                ent.clone_concurrence(mu_value, float(f_c)),
+                ent.delta(mu_value, p),
+            ]
+        )
+    return rows
+
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """Equality of two CSV texts, reporting the first differing line only.
+
+    pytest's own diff of two multi-megabyte strings takes minutes.
+    """
+    if actual == expected:
+        return
+    got, want = actual.split("\n"), expected.split("\n")
+    line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    pytest.fail(
+        f"line {line} differs: {got[line:line + 1]} != {want[line:line + 1]} "
+        f"({len(got)} vs {len(want)} lines)"
+    )
+
+
+def linspace_grid(step):
+    return np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
+
+
+class TestCsvByteIdentity:
+    """The row-template writer against the per-cell csv.writer oracle."""
+
+    def test_default_delta_grid(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert main(["sweep-delta", "--output", str(out)]) == 0
+        report = ent.sweep_delta(ent.SweepGrid())
+        rows = (
+            [
+                mu_value,
+                p,
+                report.fidelity_b[pi],
+                report.fidelity_c[pi],
+                report.concurrence_b[mi, pi],
+                report.concurrence_c[mi, pi],
+                report.delta_values[mi, pi],
+            ]
+            for mi, mu_value in enumerate(report.mu_values)
+            for pi, p in enumerate(report.p_values)
+        )
+        assert_same_text(out.read_bytes().decode("utf-8"), oracle_csv(cli._DELTA_HEADER, rows))
+
+    def test_single_mu(self, tmp_path, capsys):
+        out = tmp_path / "mu.csv"
+        assert main(["sweep-delta", "--mu", "0.3", "--output", str(out)]) == 0
+        rows = oracle_delta_rows(0.3, linspace_grid(0.001))
+        assert_same_text(out.read_bytes().decode("utf-8"), oracle_csv(cli._DELTA_HEADER, rows))
+
+    @pytest.mark.parametrize("point", [(0.5, 0.5), (0.25, 0.37), (0.2, 0.0), (0.1, 1.0)])
+    def test_single_point(self, tmp_path, capsys, point):
+        out = tmp_path / "point.csv"
+        mu_value, p = point
+        argv = ["sweep-delta", "--mu", repr(mu_value), "--p", repr(p), "--output", str(out)]
+        assert main(argv) == 0
+        rows = oracle_delta_rows(mu_value, [p])
+        assert_same_text(out.read_bytes().decode("utf-8"), oracle_csv(cli._DELTA_HEADER, rows))
+        assert json.loads(capsys.readouterr().out)["delta"] == float(rows[0][-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sweep_fidelity(self, tmp_path, capsys, n):
+        out = tmp_path / "fid.csv"
+        assert main(["sweep-fidelity", "--n", str(n), "--output", str(out)]) == 0
+        ps = linspace_grid(0.01)
+        f_b, f_c = fidelity_curve(ps, 1 << n)
+        rows = [[p, 1.0 - p, fb, fc] for p, fb, fc in zip(ps, f_b, f_c)]
+        assert_same_text(out.read_bytes().decode("utf-8"), oracle_csv(["p", "q", "f_b", "f_c"], rows))
+
+    @pytest.mark.parametrize("n, samples, seed", [(1, 100, 9), (2, 3, 1)])
+    def test_mixed(self, tmp_path, capsys, n, samples, seed):
+        out = tmp_path / "mixed.csv"
+        argv = ["mixed", "--n", str(n), "--p", "0.3", "--samples", str(samples)]
+        assert main(argv + ["--seed", str(seed), "--output", str(out)]) == 0
+        dim = 1 << n
+        plans = list(np.eye(dim)) + [np.full(dim, 1.0 / dim)]
+        plans += list(mx.sample_simplex(dim, samples, np.random.default_rng(seed)))
+        header = [f"alpha_{k}" for k in range(dim)] + [
+            "p", "f_mixed", "lower_bound", "f_pure", "ok",
+        ]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for alphas in plans:
+            state = mx.MixedInput(alphas, n)
+            params = state.protocol_params(0.3)
+            f_mixed = mx.mixed_fidelity(state, params)
+            lower, _ = mx.fidelity_bounds(params)
+            f_pure, _ = fidelity_curve(0.3, params.d)
+            ok = lower - 1e-9 <= f_mixed <= 1.0 + 1e-9 and f_mixed >= float(f_pure) - 1e-9
+            cells = [*state.alphas, 0.3, f_mixed, lower, f_pure]
+            writer.writerow([_fmt(v) for v in cells] + [str(int(ok))])
+        assert_same_text(out.read_bytes().decode("utf-8"), buf.getvalue())
+
+    def test_stdout_equals_output_file(self, tmp_path, capsys):
+        args = ["sweep-delta", "--mu-step", "0.05", "--p-step", "0.02"]
+        out = tmp_path / "coarse.csv"
+        assert main(args + ["--output", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert_same_text(captured.out, out.read_bytes().decode("utf-8"))
+        assert captured.err == summary
+
+    @pytest.mark.parametrize(
+        "value", [-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, np.nan, np.inf, -np.inf]
+    )
+    def test_template_equals_per_cell_format(self, value):
+        assert "%.12g" % value == _fmt(value)
+        assert cli._rows("%.12g,%.12g\n", np.array([value]), [value]) == (
+            f"{_fmt(value)},{_fmt(value)}\n"
+        )
+
+
+class TestNumericOptions:
+    """Bad numbers exit 2 (usage), never 1 (invariant failure)."""
+
+    @pytest.mark.parametrize("argv", [["--mu", "nan", "--p", "0.5"], ["--mu", "0.3", "--p", "nan"]])
+    def test_nan_point_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "point.csv"
+        assert main(["sweep-delta", *argv, "--output", str(out)]) == 2
+        assert "outside" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep-delta"], ["sweep-delta", "--mu", "0.3"], ["sweep-fidelity"]],
+    )
+    def test_bad_p_step_exit_2(self, tmp_path, capsys, argv, step):
+        out = tmp_path / "grid.csv"
+        assert main([*argv, f"--p-step={step}", "--output", str(out)]) == 2
+        assert "grid steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    # commands that read the option, the other options valid (steps >= 1e-3)
+    READERS = {
+        "--mu": [["sweep-delta", "--p", "0.5"], ["sweep-delta", "--p-step", "0.1"]],
+        "--p": [["sweep-delta", "--mu", "0.3"]],
+        "--p-step": [
+            ["sweep-delta", "--mu-step", "0.1"],
+            ["sweep-delta", "--mu", "0.3"],
+            ["sweep-fidelity"],
+        ],
+        "--mu-step": [["sweep-delta", "--p-step", "0.1"]],
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(option=st.sampled_from(sorted(READERS)), data=st.data())
+    def test_invalid_numbers_exit_2(self, option, data):
+        bad = st.one_of(
+            st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+            st.floats(max_value=-1e-6, allow_nan=False, allow_infinity=False),
+            st.floats(min_value=1.0 + 1e-9, allow_nan=False, allow_infinity=False),
+        )
+        if option.endswith("step"):
+            bad = st.one_of(st.just(0.0), bad)
+        value = data.draw(bad)
+        for argv in self.READERS[option]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, f"{option}={value!r}"])  # '=': '-inf' is no flag
+            assert code == 2, (argv, option, value, err.getvalue())

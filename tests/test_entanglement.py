@@ -219,3 +219,42 @@ class TestSweep:
             ent.SweepGrid(mu_step=0.0)
         with pytest.raises(ValueError):
             ent.SweepGrid(mu_min=0.4, mu_max=0.2)
+
+    @pytest.mark.parametrize("step", [0.0, -0.0, -0.01, np.nan, np.inf, -np.inf, 1.5])
+    def test_grid_steps_must_lie_in_unit_interval(self, step):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            ent.SweepGrid(mu_step=step)
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            ent.SweepGrid(p_step=step)
+
+    def test_unit_steps_accepted(self):
+        assert ent.SweepGrid(p_step=1.0).p_values().tolist() == [0.0, 1.0]
+        assert ent.SweepGrid(mu_step=1.0).mu_step == 1.0
+
+
+class TestNanRejected:
+    """NaN passes `x < lo or x > hi`; every range check must refuse it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, [0.2, np.nan]])
+    def test_clone_concurrence(self, bad):
+        with pytest.raises(ValueError, match="mu outside"):
+            ent.clone_concurrence(bad, 0.8)
+        with pytest.raises(ValueError, match="fidelity outside"):
+            ent.clone_concurrence(0.3, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, [0.2, np.nan]])
+    def test_eof_from_concurrence(self, bad):
+        with pytest.raises(ValueError, match="concurrence outside"):
+            ent.eof_from_concurrence(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, [0.2, np.nan]])
+    def test_delta(self, bad):
+        with pytest.raises(ValueError, match="p outside"):
+            ent.delta(0.3, bad)
+        with pytest.raises(ValueError):
+            ent.delta(bad, 0.5)
+
+    def test_tolerance_band_still_accepted(self):
+        assert ent.clone_concurrence(-1e-13, 1.0 + 1e-13) == 0.0
+        assert ent.eof_from_concurrence(1.0 + 1e-13) == pytest.approx(1.0, abs=1e-12)
+        assert ent.delta(0.5 + 1e-13, -1e-13) >= -1e-9

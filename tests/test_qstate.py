@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleclone import qstate
 from teleclone.cloning import CloneParams, cloner_basis_state
@@ -326,3 +328,45 @@ class TestValidation:
         state = bell_state()
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
+
+
+class TestGramPath:
+    """reduced_density's trusted DensityMatrix._gram path against the public one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_public_constructor(self, n, seed, data):
+        state = StateVector.random(2 * n, np.random.default_rng(seed))
+        keep = data.draw(
+            st.lists(st.integers(0, 2 * n - 1), min_size=1, max_size=2 * n, unique=True)
+        )
+        rho = qstate.reduced_density(state, keep)
+        kept = sorted(keep)
+        rest = [i for i in range(2 * n) if i not in kept]
+        mat = state._tensor_view().transpose(kept + rest).reshape(1 << len(kept), -1)
+        public = DensityMatrix(mat @ mat.conj().T, len(kept))  # full validation
+        np.testing.assert_array_equal(rho.entries, public.entries)
+        assert rho.num_qubits == public.num_qubits
+        assert not rho.entries.flags.writeable
+
+    def test_skips_only_the_spectrum(self, monkeypatch):
+        def refused(mat):
+            raise AssertionError("eigvalsh ran on a Gram matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        rho = DensityMatrix._gram(np.array([[0.6, 0.0], [0.0, 0.8]], dtype=complex), 1)
+        np.testing.assert_allclose(rho.entries, np.diag([0.36, 0.64]), atol=1e-15)
+        with pytest.raises(AssertionError, match="eigvalsh"):
+            DensityMatrix(rho.entries, 1)
+
+    def test_keeps_shape_and_trace_checks(self):
+        with pytest.raises(ValueError, match="expected a 4x4"):
+            DensityMatrix._gram(np.eye(2, dtype=complex) / np.sqrt(2), 2)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix._gram(np.eye(2, dtype=complex), 1)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix._gram(np.array([[np.nan, 0], [0, 1]], dtype=complex), 1)
