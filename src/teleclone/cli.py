@@ -21,7 +21,7 @@ from . import mixed as mx
 from . import protocol as pt
 from . import verify
 from .cloning import CloneParams, fidelity_curve
-from .qstate import StateVector, uhlmann_fidelity
+from .qstate import StateVector, _check_register_size, uhlmann_fidelity
 
 
 @contextlib.contextmanager
@@ -79,7 +79,7 @@ def _parse_input(spec: str, n: int, rng: np.random.Generator | None) -> StateVec
         raise ValueError(f"could not parse amplitudes {spec!r}: {exc}") from exc
     if amps.size != dim:
         raise ValueError(f"expected {dim} amplitudes for n={n}, got {amps.size}")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-6:
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-6:  # NaN fails it too
         raise ValueError(
             f"amplitudes have norm {np.linalg.norm(amps):.9f}, not 1 within 1e-6"
         )
@@ -88,6 +88,7 @@ def _parse_input(spec: str, n: int, rng: np.random.Generator | None) -> StateVec
 
 def cmd_run(args) -> int:
     params = CloneParams(p=args.p, n=args.n)
+    _check_register_size(5 * args.n)  # before the input's 2^n amplitudes
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     psi = _parse_input(args.input, args.n, rng)
     if args.outcome is not None:
@@ -189,6 +190,12 @@ def cmd_sweep_fidelity(args) -> int:
 
 
 def cmd_mixed(args) -> int:
+    # the purified protocol register (2n qubits), the same for every plan;
+    # the cross-check below runs it, so its 5 * 2n qubits are checked first
+    params = CloneParams(p=args.p, n=2 * args.n)
+    _check_register_size(5 * params.n)
+    lower, _ = mx.fidelity_bounds(params)
+    f_pure = float(fidelity_curve(args.p, params.d)[0])
     mixed_dim = 1 << args.n
     rng = np.random.default_rng(args.seed)
     plans = [np.eye(mixed_dim)[k] for k in range(mixed_dim)]
@@ -199,19 +206,16 @@ def cmd_mixed(args) -> int:
     rows = []  # alpha_0..alpha_{2^n-1}, p, f_mixed, lower, f_pure, ok
     for alphas in plans:
         mixed = mx.MixedInput(np.asarray(alphas, dtype=float), args.n)
-        params = mixed.protocol_params(args.p)
         f_mixed = mx.mixed_fidelity(mixed, params)
-        lower, _ = mx.fidelity_bounds(params)
-        f_pure, _ = fidelity_curve(args.p, params.d)
-        ok = lower - 1e-9 <= f_mixed <= 1.0 + 1e-9 and f_mixed >= float(f_pure) - 1e-9
-        records.append((mixed, params, f_mixed))
-        rows.append([*mixed.alphas.tolist(), args.p, f_mixed, lower, float(f_pure), ok])
+        ok = lower - 1e-9 <= f_mixed <= 1.0 + 1e-9 and f_mixed >= f_pure - 1e-9
+        records.append((mixed, f_mixed))
+        rows.append([*mixed.alphas.tolist(), args.p, f_mixed, lower, f_pure, ok])
     violations = sum(not row[-1] for row in rows)
 
     # cross-check a few rows against the full simulation before writing
     check_count = 3 if args.n == 1 else 2
     sim_err = 0.0
-    for mixed, params, f_formula in records[:check_count]:
+    for mixed, f_formula in records[:check_count]:
         rho_b, _, _, _ = mx.teleclone_mixed(mixed, params)
         sim_err = max(
             sim_err, abs(uhlmann_fidelity(mixed.density(), rho_b) - f_formula)

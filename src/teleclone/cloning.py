@@ -9,6 +9,7 @@ arbitrary input with input-independent fidelities F_B(p) and F_C(p).
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class CloneParams:
             raise ValueError(f"asymmetry weight p={self.p} outside [0, 1]")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.n >= sys.float_info.max_exp:
+            raise ValueError(f"n={self.n} is too large: d = 2^n overflows a float")
 
     @property
     def q(self) -> float:

@@ -283,7 +283,7 @@ def run(
     if psi.num_qubits != params.n:
         raise ValueError("input register size does not match params.n")
     _check_register_size(5 * params.n)  # the attached state, before any allocation
-    if abs(psi.norm - 1.0) > 1e-6:
+    if not abs(psi.norm - 1.0) <= 1e-6:  # NaN fails it too
         raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
     psi = psi.normalized()
     if channel is None:
@@ -354,15 +354,6 @@ def sample_outcomes(
     return {outcome: int(count) for outcome, count in zip(outcomes, counts)}
 
 
-# Maximally entangled 2-qubit-vs-qudit reference input: pairing each input
-# qubit with one reference qubit, 1/2 sum_j |j>_{A} |j>_{ref}.
-def entangled_reference_input() -> StateVector:
-    amps = np.zeros(16, dtype=complex)
-    for j in range(4):
-        amps[(j << 2) | j] = 0.5
-    return StateVector(amps, 4)
-
-
 def entanglement_cost_check(
     params: CloneParams,
     *,
@@ -372,27 +363,28 @@ def entanglement_cost_check(
 ) -> float:
     """Ebits the protocol delivers across the (reference | receivers) cut.
 
-    Telecloning the two input qubits of a 4-qubit state whose other half
-    is a reference qudit no party touches.  With the maximally entangled
-    reference input the final state carries exactly 2 ebits between the
-    reference and the receiver side, for every p — which is why 2 ebits
-    of channel entanglement are necessary.  A product input yields 0.
+    Telecloning the n input qubits of a state whose other qubits are a
+    reference no party touches.  The default input is the maximally
+    entangled 2^(-n/2) sum_j |j>_A |j>_ref on n + n qubits; with it the
+    final state carries exactly n ebits between the reference and the
+    receiver side, for every p — which is why n ebits of channel
+    entanglement are necessary.  A product input yields 0.
     """
-    if params.n != 2:
-        raise ValueError("the entanglement-cost check is defined for n=2")
-    if input_state is None:
-        input_state = entangled_reference_input()
-    n_ref = input_state.num_qubits - params.n
+    n = params.n
+    n_ref = n if input_state is None else input_state.num_qubits - n
     if n_ref < 1:
         raise ValueError("input must carry at least one reference qubit")
-    _check_register_size(input_state.num_qubits + 4 * params.n)
+    _check_register_size(n + n_ref + 4 * n)
+    if input_state is None:
+        amps = np.zeros(1 << 2 * n, dtype=complex)
+        amps[np.arange(params.d) * (params.d + 1)] = 2.0 ** (-n / 2)  # |j>|j>
+        input_state = StateVector._owned(amps, 2 * n)
     if outcome is None and seed is None:
-        outcome = BellOutcome.all_phi_plus(params.n)
+        outcome = BellOutcome.all_phi_plus(n)
     rng = np.random.default_rng(seed) if seed is not None else None
     channel = build_channel(params)
     total = tensor(input_state, channel.state)
-    offset = params.n + n_ref
-    pairs = [(i, offset + i) for i in range(params.n)]
+    pairs = [(i, n + n_ref + i) for i in range(n)]
     measured, collapsed, _ = project_pairs(total, pairs, outcome=outcome, rng=rng)
     final = apply_corrections(collapsed, correction_plan(measured), offset=n_ref)
     return entanglement_entropy(final, range(n_ref))

@@ -1,8 +1,9 @@
 """Executable invariant suite behind the CLI `verify` command.
 
-Each group bundles related invariants into named checks with a recorded
-worst-case deviation, so a regression points at the broken property
-rather than a generic failure.
+Each invariant is one function of a single instance, returning its deviation
+(or pass/fail, or CheckResults) for a tolerance named below.  A group loops the
+functions over its instances and records the worst case under a check name, so a
+regression points at the broken property; the acceptance tests call the same functions.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +18,20 @@ from .cloning import CloneParams, clone_fidelities, clone_pair, cloner_basis_sta
 
 DEFAULT_SEED = 20240811
 
+#: exact algebra: norms, probabilities, overlaps, fidelities, concurrences,
+#: and the slack of every inequality
+EXACT_TOL = 1e-9
+#: amplitude identities between states built from the same numbers
+AMPLITUDE_TOL = 1e-12
+#: two routes through partial traces of one density matrix
+TRACE_TOL = 1e-10
+#: closed forms against an eigenvalue oracle (Uhlmann, von Neumann)
+ORACLE_TOL = 1e-8
+#: ebit counts read off an entanglement entropy
+EBIT_TOL = 1e-6
+
 _P_VALUES = (0.0, 0.3, 0.5, 1.0)
+_LOCAL_OPS = (qs.PAULI_X, qs.PAULI_Y, qs.PAULI_Z, qs.IDENTITY)
 
 
 @dataclass(frozen=True)
@@ -48,143 +62,146 @@ class GroupResult:
 
 
 def _check(name: str, deviation: float, tolerance: float) -> CheckResult:
-    return CheckResult(
-        name,
-        bool(deviation <= tolerance),
-        f"max deviation {deviation:.3e} (tolerance {tolerance:.0e})",
-    )
+    detail = f"max deviation {deviation:.3e} (tolerance {tolerance:.0e})"
+    return CheckResult(name, bool(deviation <= tolerance), detail)
 
 
-def channel_checks(channel: pt.ChannelState) -> list:
-    """Validity checks for one channel state; reusable as a negative control."""
-    n = channel.params.n
-    norm_dev = abs(channel.state.norm - 1.0)
-    entropy = qs.entanglement_entropy(channel.state, range(n))
-    return [
-        _check(f"channel-norm n={n} p={channel.params.p}", norm_dev, 1e-9),
-        _check(
-            f"channel-entropy n={n} p={channel.params.p}", abs(entropy - n), 1e-6
-        ),
-    ]
+def _largest(values) -> float:
+    """The largest value, or NaN if any is NaN (the builtin max can skip one)."""
+    return float(np.max(list(values)))
+
+
+def _worst(name: str, deviations, tolerance: float) -> CheckResult:
+    """The check on the largest deviation, counted from 0."""
+    return _check(name, _largest((0.0, *deviations)), tolerance)
+
+
+def _max_abs(a, b) -> float:
+    return float(np.abs(a - b).max())
+
+
+def local_norm_deviation(state, op, target, other) -> float:
+    """Norm drift of one local operation and of one tensor product."""
+    local = qs.apply_local(state, op, target)
+    return _largest((abs(local.norm - 1.0), abs(qs.tensor(state, other).norm - 1.0)))
+
+
+def bell_completeness_deviation(state, pair) -> float:
+    """|sum of the four Bell probabilities of one pair - 1|."""
+    return abs(sum(qs.bell_probabilities(state, pair).values()) - 1.0)
+
+
+def partial_trace_deviation(rho) -> float:
+    """Tracing out qubits 1 and 3 at once against tracing out 3, then 1."""
+    joint = qs.partial_trace(rho, [0, 2])
+    stepwise = qs.partial_trace(qs.partial_trace(rho, [0, 1, 2]), [0, 2])
+    return _max_abs(joint.entries, stepwise.entries)
+
+
+def entropy_in_bounds(rho) -> bool:
+    """0 <= S(rho) <= number of qubits."""
+    entropy = qs.von_neumann_entropy(rho)
+    return -EXACT_TOL <= entropy <= rho.num_qubits + EXACT_TOL
+
+
+def uhlmann_deviation(psi, rho) -> float:
+    """F(psi, psi) = 1, and Uhlmann against <psi|rho|psi> for a pure psi."""
+    pure = qs.DensityMatrix.from_state(psi)
+    self_dev = abs(qs.uhlmann_fidelity(pure, pure) - 1.0)
+    mixed_dev = abs(qs.uhlmann_fidelity(pure, rho) - qs.state_fidelity(psi, rho))
+    return _largest((self_dev, mixed_dev))
+
+
+def uhlmann_symmetry_deviation(r1, r2) -> float:
+    """|F(r1, r2) - F(r2, r1)|."""
+    return abs(qs.uhlmann_fidelity(r1, r2) - qs.uhlmann_fidelity(r2, r1))
 
 
 def _group_qstate(seed: int) -> GroupResult:
     rng = np.random.default_rng(seed)
-    checks = []
 
-    dev = 0.0
-    for _ in range(20):
-        state = qs.StateVector.random(4, rng)
-        op = [qs.PAULI_X, qs.PAULI_Y, qs.PAULI_Z, qs.IDENTITY][rng.integers(4)]
-        out = qs.apply_local(state, op, int(rng.integers(4)))
-        dev = max(dev, abs(out.norm - 1.0))
-        other = qs.StateVector.random(2, rng)
-        dev = max(dev, abs(qs.tensor(state, other).norm - 1.0))
-    checks.append(_check("norm-preservation", dev, 1e-9))
+    def state(num_qubits):
+        return qs.StateVector.random(num_qubits, rng)
 
-    dev = 0.0
-    for _ in range(10):
-        state = qs.StateVector.random(4, rng)
-        pair = tuple(rng.choice(4, size=2, replace=False))
-        total = sum(qs.bell_probabilities(state, pair).values())
-        dev = max(dev, abs(total - 1.0))
-    checks.append(_check("bell-completeness", dev, 1e-9))
+    def mixed_state(num_qubits, keep):
+        return qs.reduced_density(state(num_qubits), range(keep))
 
-    dev = 0.0
-    for _ in range(5):
-        rho = qs.reduced_density(qs.StateVector.random(5, rng), range(4))
-        joint = qs.partial_trace(rho, [0, 2])
-        stepwise = qs.partial_trace(qs.partial_trace(rho, [0, 1, 2]), [0, 2])
-        dev = max(dev, float(np.abs(joint.entries - stepwise.entries).max()))
-    checks.append(_check("partial-trace-two-step", dev, 1e-10))
+    norms = [
+        local_norm_deviation(state(4), _LOCAL_OPS[rng.integers(4)], int(rng.integers(4)),
+                             state(2))
+        for _ in range(20)
+    ]
+    pairs = [(state(4), tuple(rng.choice(4, size=2, replace=False))) for _ in range(10)]
+    traces = [partial_trace_deviation(mixed_state(5, 4)) for _ in range(5)]
+    entropies = [entropy_in_bounds(mixed_state(6, 3)) for _ in range(10)]
+    uhlmann = [uhlmann_deviation(state(2), mixed_state(4, 2)) for _ in range(10)]
+    symmetry = [
+        uhlmann_symmetry_deviation(mixed_state(4, 2), mixed_state(4, 2)) for _ in range(10)
+    ]
+    return GroupResult("qstate", (
+        _worst("norm-preservation", norms, EXACT_TOL),
+        _worst("bell-completeness", [bell_completeness_deviation(*i) for i in pairs], EXACT_TOL),
+        _worst("partial-trace-two-step", traces, TRACE_TOL),
+        CheckResult("entropy-bounds", all(entropies), "0 <= S <= num_qubits"),
+        _worst("uhlmann-properties", uhlmann, EXACT_TOL),
+        _worst("uhlmann-symmetry", symmetry, ORACLE_TOL),
+    ))
 
-    ok = True
-    for _ in range(10):
-        rho = qs.reduced_density(qs.StateVector.random(6, rng), range(3))
-        entropy = qs.von_neumann_entropy(rho)
-        ok = ok and -1e-9 <= entropy <= 3 + 1e-9
-    checks.append(CheckResult("entropy-bounds", ok, "0 <= S <= num_qubits"))
 
-    dev = 0.0
-    for _ in range(10):
-        psi = qs.StateVector.random(2, rng)
-        rho = qs.reduced_density(qs.StateVector.random(4, rng), range(2))
-        pure = qs.DensityMatrix.from_state(psi)
-        dev = max(dev, abs(qs.uhlmann_fidelity(pure, pure) - 1.0))
-        dev = max(
-            dev,
-            abs(qs.uhlmann_fidelity(pure, rho) - qs.state_fidelity(psi, rho)),
-        )
-    checks.append(_check("uhlmann-properties", dev, 1e-9))
+def triple_deviations(params: CloneParams, pos: int) -> tuple[float, float]:
+    """Worst amplitude errors of the Pauli triples at pair position `pos`.
 
-    dev = 0.0
-    for _ in range(10):
-        r1 = qs.reduced_density(qs.StateVector.random(4, rng), range(2))
-        r2 = qs.reduced_density(qs.StateVector.random(4, rng), range(2))
-        dev = max(dev, abs(qs.uhlmann_fidelity(r1, r2) - qs.uhlmann_fidelity(r2, r1)))
-    checks.append(_check("uhlmann-symmetry", dev, 1e-8))
-
-    return GroupResult("qstate", tuple(checks))
+    On every machine state |j>, the sigma_z triple must flip the sign where
+    bit (n-1-pos) of j is set, and the sigma_x triple must flip that bit of j.
+    """
+    n = params.n
+    states = [cloner_basis_state(j, params) for j in range(params.d)]
+    mask = 1 << (n - 1 - pos)
+    z_devs, x_devs = [], []
+    for j, state in enumerate(states):
+        z_out = x_out = state
+        for offset in (0, n, 2 * n):
+            z_out = qs.apply_local(z_out, qs.PAULI_Z, offset + pos)
+            x_out = qs.apply_local(x_out, qs.PAULI_X, offset + pos)
+        sign = -1.0 if j & mask else 1.0
+        z_devs.append(_max_abs(z_out.amplitudes, sign * state.amplitudes))
+        x_devs.append(_max_abs(x_out.amplitudes, states[j ^ mask].amplitudes))
+    return _largest(z_devs), _largest(x_devs)
 
 
 def _group_transformations(seed: int) -> GroupResult:
     checks = []
     for p in _P_VALUES:
-        params = CloneParams(p=p, n=2)
-        states = [cloner_basis_state(j, params) for j in range(4)]
-
-        dev = 0.0
-        # sign flips: sigma_z triple at pair position i flips states whose
-        # index has bit (n-1-i) set
-        for pos, flipped in ((0, {2, 3}), (1, {1, 3})):
-            for j, state in enumerate(states):
-                out = state
-                for offset in (0, 2, 4):
-                    out = qs.apply_local(out, qs.PAULI_Z, offset + pos)
-                expected = -1.0 if j in flipped else 1.0
-                dev = max(
-                    dev,
-                    float(
-                        np.abs(out.amplitudes - expected * state.amplitudes).max()
-                    ),
-                )
-        checks.append(_check(f"parity-triples p={p}", dev, 1e-12))
-
-        dev = 0.0
-        # index maps: sigma_x triple at pair position i sends j to j XOR 2^(n-1-i)
-        for pos, mask in ((0, 2), (1, 1)):
-            for j, state in enumerate(states):
-                out = state
-                for offset in (0, 2, 4):
-                    out = qs.apply_local(out, qs.PAULI_X, offset + pos)
-                dev = max(
-                    dev,
-                    float(np.abs(out.amplitudes - states[j ^ mask].amplitudes).max()),
-                )
-        checks.append(_check(f"state-triples p={p}", dev, 1e-12))
-
-    dev = 0.0
-    for n in (1, 2, 3):
-        params = CloneParams(p=0.3, n=n)
-        states = [cloner_basis_state(j, params) for j in range(params.d)]
-        for pos in range(n):
-            mask = 1 << (n - 1 - pos)
-            for j, state in enumerate(states):
-                z_out = state
-                x_out = state
-                for offset in (0, n, 2 * n):
-                    z_out = qs.apply_local(z_out, qs.PAULI_Z, offset + pos)
-                    x_out = qs.apply_local(x_out, qs.PAULI_X, offset + pos)
-                sign = -1.0 if j & mask else 1.0
-                dev = max(
-                    dev, float(np.abs(z_out.amplitudes - sign * state.amplitudes).max())
-                )
-                dev = max(
-                    dev,
-                    float(np.abs(x_out.amplitudes - states[j ^ mask].amplitudes).max()),
-                )
-    checks.append(_check("generalized-triples n=1..3", dev, 1e-12))
+        devs = [triple_deviations(CloneParams(p=p, n=2), pos) for pos in (0, 1)]
+        checks.append(_worst(f"parity-triples p={p}", [z for z, _ in devs], AMPLITUDE_TOL))
+        checks.append(_worst(f"state-triples p={p}", [x for _, x in devs], AMPLITUDE_TOL))
+    general = [
+        _largest(triple_deviations(CloneParams(p=0.3, n=n), pos))
+        for n in (1, 2, 3)
+        for pos in range(n)
+    ]
+    checks.append(_worst("generalized-triples n=1..3", general, AMPLITUDE_TOL))
     return GroupResult("transformations", tuple(checks))
+
+
+def channel_checks(channel: pt.ChannelState) -> list:
+    """Validity checks for one channel state; reusable as a negative control."""
+    n, p = channel.params.n, channel.params.p
+    entropy = qs.entanglement_entropy(channel.state, range(n))
+    return [
+        _check(f"channel-norm n={n} p={p}", abs(channel.state.norm - 1.0), EXACT_TOL),
+        _check(f"channel-entropy n={n} p={p}", abs(entropy - n), EBIT_TOL),
+    ]
+
+
+def channel_amplitude_deviation(params: CloneParams) -> float:
+    """build_channel against the direct sum 2^(-n/2) sum_k |k> (x) machine_k."""
+    d = params.d
+    expected = np.zeros(d**4, dtype=complex)
+    for k, basis in enumerate(np.eye(d, dtype=complex)):
+        machine = cloner_basis_state(k, params).amplitudes
+        expected += 2.0 ** (-params.n / 2) * np.kron(basis, machine)
+    return _max_abs(pt.build_channel(params).state.amplitudes, expected)
 
 
 def _group_channel(seed: int) -> GroupResult:
@@ -192,250 +209,232 @@ def _group_channel(seed: int) -> GroupResult:
     for n in (1, 2, 3):
         for p in _P_VALUES:
             checks.extend(channel_checks(pt.build_channel(CloneParams(p=p, n=n))))
-
-    # independent assembly at n=2: half the sum over basis labels of
-    # |k> (x) machine_state_k
-    params = CloneParams(p=0.3, n=2)
-    expected = np.zeros(1 << 8, dtype=complex)
-    for k in range(4):
-        basis = np.zeros(4, dtype=complex)
-        basis[k] = 1.0
-        expected += 0.5 * np.kron(basis, cloner_basis_state(k, params).amplitudes)
-    dev = float(np.abs(pt.build_channel(params).state.amplitudes - expected).max())
-    checks.append(_check("channel-amplitudes n=2", dev, 1e-12))
+    dev = channel_amplitude_deviation(CloneParams(p=0.3, n=2))
+    checks.append(_check("channel-amplitudes n=2", dev, AMPLITUDE_TOL))
     return GroupResult("channel", tuple(checks))
+
+
+def protocol_deviations(psi, channel, outcomes, fidelities) -> tuple[float, float]:
+    """Forced runs of one input through `channel`, one per outcome.
+
+    Returns the worst 1 - overlap with the target state and the worst
+    |F - expected| of the two clones against `fidelities` = (F_B, F_C).
+    """
+    overlaps, fids = [0.0], [0.0]
+    for outcome in outcomes:
+        tr = pt.run(psi, channel.params, outcome=outcome, channel=channel)
+        overlaps.append(1.0 - tr.target_overlap)
+        fids += [abs(tr.fidelity_b - fidelities[0]), abs(tr.fidelity_c - fidelities[1])]
+    return _largest(overlaps), _largest(fids)
+
+
+def outcome_probability_deviation(psi, params: CloneParams, expected: float) -> float:
+    """Worst |P(outcome) - expected| over the 4^n outcomes; inf unless 4^n come back."""
+    probs = pt.outcome_probabilities(psi, params)
+    if len(probs) != 4**params.n:
+        return float("inf")
+    outcomes = pt.BellOutcome.all_outcomes(params.n)
+    return _largest(abs(probs.get(o, 0.0) - expected) for o in outcomes)
+
+
+def sampled_frequency_check(psi, params: CloneParams, samples: int, seed: int) -> CheckResult:
+    """Seeded outcome counts: they sum to `samples`, each within 3 sigma of 4^-n."""
+    share = 0.25**params.n
+    counts = pt.sample_outcomes(psi, params, samples, seed)
+    sigma = (samples * share * (1 - share)) ** 0.5
+    worst = max(abs(c - samples * share) for c in counts.values())
+    return CheckResult(
+        "sampled-frequencies-3sigma",
+        sum(counts.values()) == samples and worst <= 3 * sigma,
+        f"worst count deviation {worst:.0f} vs 3 sigma {3 * sigma:.0f}",
+    )
+
+
+def locc_discipline(outcome) -> bool:
+    """n=2: one target per receiver register in every correction; 2n bits sent."""
+    return all(
+        {t // 2 for t in c.targets} == {0, 1, 2} and len(set(c.targets)) == 3
+        for c in pt.correction_plan(outcome)
+    ) and len(outcome.classical_bits()) == 4
+
+
+def measurement_order_deviation(psi, channel, outcome) -> float:
+    """n=2: measuring the sender pairs in reverse order changes nothing."""
+    total = pt.attach_input(psi, channel)
+    _, fwd, p_fwd = pt.project_pairs(total, [(0, 2), (1, 3)], outcome=outcome)
+    rev_outcome = pt.BellOutcome(outcome.elements[::-1])
+    _, rev, p_rev = pt.project_pairs(total, [(1, 3), (0, 2)], outcome=rev_outcome)
+    return _largest((abs(p_fwd - p_rev), 1.0 - fwd.fidelity_with(rev)))
+
+
+def cost_deviation(params: CloneParams, ebits: float, input_state=None) -> float:
+    """|entanglement_cost_check - ebits|; the default input is the maximal reference."""
+    return abs(pt.entanglement_cost_check(params, input_state=input_state) - ebits)
 
 
 def _group_protocol(seed: int) -> GroupResult:
     rng = np.random.default_rng(seed)
-    checks = []
-
-    overlap_dev = 0.0
-    fid_dev = 0.0
+    runs = []
     for n, inputs in ((2, 5), (3, 2)):
         params = CloneParams(p=0.35, n=n)
         channel = pt.build_channel(params)
-        f_b, f_c = clone_fidelities(params)
         for _ in range(inputs):
             psi = qs.StateVector.random(n, rng)
-            for outcome in pt.BellOutcome.all_outcomes(n):
-                tr = pt.run(psi, params, outcome=outcome, channel=channel)
-                overlap_dev = max(overlap_dev, 1.0 - tr.target_overlap)
-                fid_dev = max(
-                    fid_dev, abs(tr.fidelity_b - f_b), abs(tr.fidelity_c - f_c)
-                )
-    checks.append(_check("all-outcomes-reach-target n=2,3", overlap_dev, 1e-9))
-    checks.append(_check("fidelities-match-formula", fid_dev, 1e-9))
-
-    dev = 0.0
+            outcomes = pt.BellOutcome.all_outcomes(n)
+            runs.append(protocol_deviations(psi, channel, outcomes, clone_fidelities(params)))
+    probs = []
     for n in (2, 3):
         psi = qs.StateVector.random(n, rng)
-        probs = pt.outcome_probabilities(psi, CloneParams(p=0.5, n=n))
-        dev = max(dev, max(abs(v - 0.25**n) for v in probs.values()))
-    checks.append(_check("uniform-outcome-probabilities", dev, 1e-9))
-
-    params = CloneParams(p=0.25, n=2)
-    channel = pt.build_channel(params)
+        probs.append(outcome_probability_deviation(psi, CloneParams(p=0.5, n=n), 0.25**n))
+    channel = pt.build_channel(CloneParams(p=0.25, n=2))
     fids = [
-        pt.run(qs.StateVector.random(2, rng), params, channel=channel,
+        pt.run(qs.StateVector.random(2, rng), channel.params, channel=channel,
                outcome=pt.BellOutcome.all_phi_plus(2)).fidelity_b
         for _ in range(20)
     ]
-    checks.append(_check("universality-input-independence", float(np.std(fids)), 1e-9))
-
-    ok = True
-    for outcome in pt.BellOutcome.all_outcomes(2):
-        for c in pt.correction_plan(outcome):
-            blocks = {t // 2 for t in c.targets}
-            ok = ok and blocks == {0, 1, 2} and len(set(c.targets)) == 3
-        ok = ok and len(outcome.classical_bits()) == 4
-    checks.append(
-        CheckResult("locc-discipline", ok, "one target per receiver register; 2n bits")
+    locc = all(locc_discipline(o) for o in pt.BellOutcome.all_outcomes(2))
+    order = measurement_order_deviation(
+        qs.StateVector.random(2, rng), channel, pt.BellOutcome.parse("PSI-,PHI-")
     )
-
-    # measurement order must not matter
-    psi = qs.StateVector.random(2, rng)
-    total = pt.attach_input(psi, channel)
-    outcome = pt.BellOutcome.parse("PSI-,PHI-")
-    _, fwd, p_fwd = pt.project_pairs(total, [(0, 2), (1, 3)], outcome=outcome)
-    rev_outcome = pt.BellOutcome(outcome.elements[::-1])
-    _, rev, p_rev = pt.project_pairs(total, [(1, 3), (0, 2)], outcome=rev_outcome)
-    dev = max(abs(p_fwd - p_rev), 1.0 - fwd.fidelity_with(rev))
-    checks.append(_check("measurement-order-invariance", dev, 1e-9))
-
-    dev = 0.0
-    for p in (0.2, 0.5):
-        cost = pt.entanglement_cost_check(CloneParams(p=p, n=2))
-        dev = max(dev, abs(cost - 2.0))
     product = qs.tensor(qs.StateVector.random(2, rng), qs.StateVector.basis(0, 2))
-    dev = max(
-        dev,
-        abs(pt.entanglement_cost_check(CloneParams(p=0.5, n=2), input_state=product)),
-    )
-    checks.append(_check("entanglement-cost", dev, 1e-6))
-    return GroupResult("protocol", tuple(checks))
-
-
-def _group_entanglement(seed: int) -> GroupResult:
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    dev = 0.0
-    for _ in range(50):
-        psi = qs.StateVector.random(2, rng)
-        p = float(rng.uniform())
-        params = CloneParams(p=p, n=2)
-        rho_b, rho_c = clone_pair(psi, params)
-        f_b, f_c = clone_fidelities(params)
-        mu_value = ent.mu(psi.amplitudes)
-        dev = max(
-            dev,
-            abs(ent.wootters_concurrence(rho_b) - ent.clone_concurrence(mu_value, f_b)),
-            abs(ent.wootters_concurrence(rho_c) - ent.clone_concurrence(mu_value, f_c)),
-        )
-    checks.append(_check("concurrence-oracle-equivalence", dev, 1e-9))
-
-    dev = 0.0
-    for _ in range(20):
-        psi = qs.StateVector.random(2, rng)
-        reduced = qs.reduced_density(psi, [0])
-        dev = max(
-            dev,
-            abs(ent.input_entanglement(psi.amplitudes) - qs.von_neumann_entropy(reduced)),
-        )
-    checks.append(_check("input-eof-vs-reduced-entropy", dev, 1e-8))
-
-    grid = ent.SweepGrid(mu_step=0.01, p_step=0.005)
-    report = ent.sweep_delta(grid)
-    checks.append(
-        CheckResult(
-            "delta-nonnegative",
-            report.violations == 0 and report.min_delta >= -grid.tolerance,
-            f"min delta {report.min_delta:.3e}",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "combined-eof-monotone", report.monotone_ok, "nondecreasing on [1/2, p_hi]"
-        )
-    )
-    checks.append(
-        CheckResult(
-            "inflection-above-0.56",
-            report.inflection_ok,
-            f"min estimate {report.min_inflection_p}",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "gap-minimized-on-region-boundary",
-            report.boundary_ok,
-            "argmin at a concurrence zero",
-        )
-    )
-
-    dev = 0.0
-    ok = True
-    for mu_value in (0.2, 0.25, 0.3, 0.4, 0.45):
-        lo, hi = ent.physical_region(mu_value)
-        dev = max(dev, abs(lo + hi - 1.0))
-        f_lo = ent._fidelities_d4(lo + 1e-6)
-        inside = (
-            ent.clone_concurrence(mu_value, f_lo[0]) > 0
-            and ent.clone_concurrence(mu_value, f_lo[1]) > 0
-        )
-        f_out = ent._fidelities_d4(lo - 1e-6)
-        outside = (
-            ent.clone_concurrence(mu_value, f_out[0]) == 0.0
-            or ent.clone_concurrence(mu_value, f_out[1]) == 0.0
-        )
-        ok = ok and inside and outside
-    checks.append(_check("physical-region-symmetry", dev, 1e-12))
-    checks.append(CheckResult("physical-region-boundaries", ok, "positivity flips at edges"))
-
-    xs = np.linspace(0.0, 1.0, 1001)
-    hs = ent.eof_from_concurrence(xs)
-    checks.append(
-        CheckResult(
-            "eof-monotone", bool(np.all(np.diff(hs) > 0)), "strict on the unit grid"
-        )
-    )
-    return GroupResult("entanglement", tuple(checks))
-
-
-def _group_mixed(seed: int) -> GroupResult:
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    dev = 0.0
-    for alphas in mx.sample_simplex(4, 5, rng):
-        mixed = mx.MixedInput(alphas, 2)
-        back = qs.reduced_density(mx.purify(mixed), range(2))
-        dev = max(dev, float(np.abs(back.entries - np.diag(alphas)).max()))
-    checks.append(_check("purification-round-trip", dev, 1e-12))
-
-    dev = 0.0
-    for p in (0.2, 0.5, 0.8):
-        mixed = mx.MixedInput(np.array([0.6, 0.4]), 1)
-        params = mixed.protocol_params(p)
-        rho_b, rho_c, rho_b2, rho_c2 = mx.teleclone_mixed(mixed, params)
-        formula_b = mx.mixed_clone_formula(mixed, params)
-        formula_c = mx.mixed_clone_formula(mixed, CloneParams(p=params.q, n=params.n))
-        dev = max(
-            dev,
-            float(np.abs(rho_b.entries - formula_b.entries).max()),
-            float(np.abs(rho_c.entries - formula_c.entries).max()),
-            float(np.abs(rho_b.entries - rho_b2.entries).max()),
-            float(np.abs(rho_c.entries - rho_c2.entries).max()),
-        )
-    checks.append(_check("clone-formula-vs-simulation", dev, 1e-9))
-
-    dev = 0.0
-    ok = True
-    for alphas in mx.sample_simplex(2, 20, rng):
-        mixed = mx.MixedInput(alphas, 1)
-        params = mixed.protocol_params(0.5)
-        formula = mx.mixed_fidelity(mixed, params)
-        oracle = qs.uhlmann_fidelity(
-            mixed.density(), mx.mixed_clone_formula(mixed, params)
-        )
-        dev = max(dev, abs(formula - oracle))
-        lower, _ = mx.fidelity_bounds(params)
-        ok = ok and lower - 1e-9 <= formula <= 1.0 + 1e-9
-    checks.append(_check("fidelity-formula-vs-uhlmann", dev, 1e-8))
-    checks.append(CheckResult("fidelity-bound-containment", ok, "20 simplex samples"))
-
-    ok = True
-    for alphas in ([1.0, 0.0], [0.5, 0.5], [0.7, 0.3]):
-        mixed = mx.MixedInput(np.array(alphas), 1)
-        f_mixed, f_pure = mx.monotonicity_check(mixed, mixed.protocol_params(0.5))
-        ok = ok and f_mixed >= f_pure - 1e-9
-    checks.append(CheckResult("trace-monotonicity", ok, "F_mixed >= F_pure"))
-    return GroupResult("mixed", tuple(checks))
+    costs = [cost_deviation(CloneParams(p=p, n=2), 2.0) for p in (0.2, 0.5)]
+    costs.append(cost_deviation(CloneParams(p=0.5, n=2), 0.0, input_state=product))
+    return GroupResult("protocol", (
+        _worst("all-outcomes-reach-target n=2,3", [o for o, _ in runs], EXACT_TOL),
+        _worst("fidelities-match-formula", [f for _, f in runs], EXACT_TOL),
+        _worst("uniform-outcome-probabilities", probs, EXACT_TOL),
+        _check("universality-input-independence", float(np.std(fids)), EXACT_TOL),
+        CheckResult("locc-discipline", locc, "one target per receiver register; 2n bits"),
+        _check("measurement-order-invariance", order, EXACT_TOL),
+        _worst("entanglement-cost", costs, EBIT_TOL),
+    ))
 
 
 def _group_outcomes(seed: int) -> GroupResult:
     rng = np.random.default_rng(seed)
-    checks = []
     params = CloneParams(p=0.5, n=2)
     psi = qs.StateVector.random(2, rng)
+    dev = outcome_probability_deviation(psi, params, 1 / 16)
+    return GroupResult("outcomes", (
+        _check("exact-uniform-1/16", dev, EXACT_TOL),
+        sampled_frequency_check(psi, params, 20000, seed),
+    ))
 
-    probs = pt.outcome_probabilities(psi, params)
-    dev = max(abs(v - 1 / 16) for v in probs.values())
-    checks.append(_check("exact-uniform-1/16", dev, 1e-9))
 
-    samples = 20000
-    counts = pt.sample_outcomes(psi, params, samples, seed)
-    sigma = (samples * (1 / 16) * (15 / 16)) ** 0.5
-    worst = max(abs(c - samples / 16) for c in counts.values())
-    checks.append(
-        CheckResult(
-            "sampled-frequencies-3sigma",
-            worst <= 3 * sigma,
-            f"worst count deviation {worst:.0f} vs 3 sigma {3 * sigma:.0f}",
-        )
+def concurrence_deviation(psi, params: CloneParams) -> float:
+    """Wootters concurrence of each closed-form clone against C(mu, F)."""
+    mu_value = ent.mu(psi.amplitudes)
+    return _largest(
+        abs(ent.wootters_concurrence(rho) - ent.clone_concurrence(mu_value, f))
+        for rho, f in zip(clone_pair(psi, params), clone_fidelities(params))
     )
-    return GroupResult("outcomes", tuple(checks))
+
+
+def input_eof_deviation(psi) -> float:
+    """Closed-form input EoF against the entropy of the one-qubit reduction."""
+    reduced = qs.reduced_density(psi, [0])
+    return abs(ent.input_entanglement(psi.amplitudes) - qs.von_neumann_entropy(reduced))
+
+
+def sweep_checks(report: ent.DeltaSweepReport) -> list:
+    """The four certificates of one delta sweep, at its grid's tolerance."""
+    nonnegative = report.violations == 0 and report.min_delta >= -report.grid.tolerance
+    return [
+        CheckResult("delta-nonnegative", nonnegative, f"min delta {report.min_delta:.3e}"),
+        CheckResult("combined-eof-monotone", report.monotone_ok, "nondecreasing on [1/2, p_hi]"),
+        CheckResult("inflection-above-0.56", report.inflection_ok,
+                    f"min estimate {report.min_inflection_p}"),
+        CheckResult("gap-minimized-on-region-boundary", report.boundary_ok,
+                    "argmin at a concurrence zero"),
+    ]
+
+
+def physical_region_deviation(mu_value: float) -> tuple[float, bool]:
+    """|p_lo + p_hi - 1|, and whether both concurrences turn positive at p_lo."""
+    lo, hi = ent.physical_region(mu_value)
+    inside = all(ent.clone_concurrence(mu_value, f) > 0 for f in ent._fidelities_d4(lo + 1e-6))
+    outside = any(
+        ent.clone_concurrence(mu_value, f) == 0.0 for f in ent._fidelities_d4(lo - 1e-6)
+    )
+    return abs(lo + hi - 1.0), inside and outside
+
+
+def _group_entanglement(seed: int) -> GroupResult:
+    rng = np.random.default_rng(seed)
+    concurrences = [
+        concurrence_deviation(qs.StateVector.random(2, rng),
+                              CloneParams(p=float(rng.uniform()), n=2))
+        for _ in range(50)
+    ]
+    eofs = [input_eof_deviation(qs.StateVector.random(2, rng)) for _ in range(20)]
+    report = ent.sweep_delta(ent.SweepGrid(mu_step=0.01, p_step=0.005))
+    regions = [physical_region_deviation(m) for m in (0.2, 0.25, 0.3, 0.4, 0.45)]
+    hs = ent.eof_from_concurrence(np.linspace(0.0, 1.0, 1001))
+    return GroupResult("entanglement", (
+        _worst("concurrence-oracle-equivalence", concurrences, EXACT_TOL),
+        _worst("input-eof-vs-reduced-entropy", eofs, ORACLE_TOL),
+        *sweep_checks(report),
+        _worst("physical-region-symmetry", [d for d, _ in regions], AMPLITUDE_TOL),
+        CheckResult("physical-region-boundaries", all(ok for _, ok in regions),
+                    "positivity flips at edges"),
+        CheckResult("eof-monotone", bool(np.all(np.diff(hs) > 0)), "strict on the unit grid"),
+    ))
+
+
+def purification_deviation(mixed: mx.MixedInput) -> float:
+    """Tracing the purification back down gives diag(alphas)."""
+    back = qs.reduced_density(mx.purify(mixed), range(mixed.n))
+    return _max_abs(back.entries, np.diag(mixed.alphas))
+
+
+def clone_formula_deviation(mixed: mx.MixedInput, params: CloneParams) -> float:
+    """Simulated mixed clones (both pairs) against the closed-form clones."""
+    rho_b, rho_c, rho_b2, rho_c2 = mx.teleclone_mixed(mixed, params)
+    formula_b = mx.mixed_clone_formula(mixed, params)
+    formula_c = mx.mixed_clone_formula(mixed, CloneParams(p=params.q, n=params.n))
+    pairs = ((rho_b, formula_b), (rho_c, formula_c), (rho_b, rho_b2), (rho_c, rho_c2))
+    return _largest(_max_abs(a.entries, b.entries) for a, b in pairs)
+
+
+def mixed_fidelity_deviation(mixed: mx.MixedInput, params: CloneParams, clone) -> float:
+    """Closed-form mixed fidelity against the Uhlmann fidelity of the input and `clone`."""
+    oracle = qs.uhlmann_fidelity(mixed.density(), clone)
+    return abs(mx.mixed_fidelity(mixed, params) - oracle)
+
+
+def fidelity_in_bounds(value: float, lower: float, upper: float) -> bool:
+    """lower <= value <= upper, each side within EXACT_TOL."""
+    return lower - EXACT_TOL <= value <= upper + EXACT_TOL
+
+
+def trace_monotone(mixed: mx.MixedInput, params: CloneParams) -> bool:
+    """Tracing the purified clone down to the mixed one never lowers fidelity."""
+    f_mixed, f_pure = mx.monotonicity_check(mixed, params)
+    return f_mixed >= f_pure - EXACT_TOL
+
+
+def _group_mixed(seed: int) -> GroupResult:
+    rng = np.random.default_rng(seed)
+    purity = [purification_deviation(mx.MixedInput(a, 2)) for a in mx.sample_simplex(4, 5, rng)]
+    qubit = mx.MixedInput(np.array([0.6, 0.4]), 1)
+    clones = [clone_formula_deviation(qubit, qubit.protocol_params(p)) for p in (0.2, 0.5, 0.8)]
+    oracles, bounds = [], []
+    for alphas in mx.sample_simplex(2, 20, rng):
+        mixed = mx.MixedInput(alphas, 1)
+        params = mixed.protocol_params(0.5)
+        clone = mx.mixed_clone_formula(mixed, params)
+        oracles.append(mixed_fidelity_deviation(mixed, params, clone))
+        lower, _ = mx.fidelity_bounds(params)
+        bounds.append(fidelity_in_bounds(mx.mixed_fidelity(mixed, params), lower, 1.0))
+    vertices = [mx.MixedInput(np.array(a), 1) for a in ([1.0, 0.0], [0.5, 0.5], [0.7, 0.3])]
+    monotone = [trace_monotone(m, m.protocol_params(0.5)) for m in vertices]
+    return GroupResult("mixed", (
+        _worst("purification-round-trip", purity, AMPLITUDE_TOL),
+        _worst("clone-formula-vs-simulation", clones, EXACT_TOL),
+        _worst("fidelity-formula-vs-uhlmann", oracles, ORACLE_TOL),
+        CheckResult("fidelity-bound-containment", all(bounds), "20 simplex samples"),
+        CheckResult("trace-monotonicity", all(monotone), "F_mixed >= F_pure"),
+    ))
 
 
 GROUPS = {

@@ -2,7 +2,9 @@
 
 Each test prints its own PASS/FAIL line (visible with `pytest -s`, and in
 the captured output of any failing test).  Criteria with a runtime budget
-assert the measured wall time as well.
+assert the measured wall time as well.  Every criterion with a twin in
+`teleclone verify` feeds its own instances through the same invariant
+function of `teleclone.verify`, at the same named tolerance.
 """
 
 import contextlib
@@ -13,8 +15,8 @@ import numpy as np
 from teleclone import entanglement as ent
 from teleclone import mixed as mx
 from teleclone import protocol as pt
-from teleclone import qstate
-from teleclone.cloning import CloneParams, clone_fidelities, clone_pair
+from teleclone import verify
+from teleclone.cloning import CloneParams, clone_fidelities
 from teleclone.mixed import MixedInput
 from teleclone.qstate import StateVector
 
@@ -38,11 +40,11 @@ def test_criterion_1_werner_bound_reproduction():
         rng = np.random.default_rng(101)
         for i in range(100):
             psi = StateVector.random(2, rng)
-            transcript = pt.run(
-                psi, params, outcome=outcomes[i % 16], channel=channel
+            overlap_dev, fidelity_dev = verify.protocol_deviations(
+                psi, channel, [outcomes[i % 16]], (0.7, 0.7)
             )
-            assert abs(transcript.fidelity_b - 0.7) <= 1e-9
-            assert abs(transcript.fidelity_c - 0.7) <= 1e-9
+            assert overlap_dev <= verify.EXACT_TOL
+            assert fidelity_dev <= verify.EXACT_TOL
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f} s"
 
@@ -60,9 +62,11 @@ def test_criterion_2_protocol_correctness_all_outcomes():
             outcomes = list(pt.BellOutcome.all_outcomes(n))
             for _ in range(100):
                 psi = StateVector.random(n, rng)
-                for outcome in outcomes:
-                    transcript = pt.run(psi, params, outcome=outcome, channel=channel)
-                    assert transcript.target_overlap >= 1 - 1e-9
+                overlap_dev, fidelity_dev = verify.protocol_deviations(
+                    psi, channel, outcomes, clone_fidelities(params)
+                )
+                assert overlap_dev <= verify.EXACT_TOL
+                assert fidelity_dev <= verify.EXACT_TOL
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f} s"
 
@@ -71,16 +75,14 @@ def test_criterion_3_channel_entanglement():
     with criterion("criterion 3: channel carries n ebits +- 1e-6 across (A'|rest)"):
         for n in (1, 2, 3):
             for p in (0.0, 0.3, 0.5, 1.0):
-                channel = pt.build_channel(CloneParams(p=p, n=n))
-                entropy = qstate.entanglement_entropy(channel.state, range(n))
-                assert abs(entropy - n) <= 1e-6, (n, p, entropy)
+                checks = verify.channel_checks(pt.build_channel(CloneParams(p=p, n=n)))
+                assert all(c.passed for c in checks), [c.detail for c in checks]
 
 
 def test_criterion_4_entanglement_cost():
     with criterion("criterion 4: 2.0 +- 1e-6 ebits delivered to the reference cut"):
         for p in (0.5, 0.2):
-            cost = pt.entanglement_cost_check(CloneParams(p=p, n=2))
-            assert abs(cost - 2.0) <= 1e-6, (p, cost)
+            assert verify.cost_deviation(CloneParams(p=p, n=2), 2.0) <= verify.EBIT_TOL, p
 
 
 def test_criterion_5_maximum_clone_entanglement():
@@ -98,10 +100,9 @@ def test_criterion_6_delta_sweep():
     ):
         start = time.perf_counter()
         report = ent.sweep_delta(ent.SweepGrid(mu_step=0.005, p_step=0.001))
-        assert report.min_delta >= -1e-9
-        assert report.violations == 0
-        assert report.monotone_ok
-        assert report.inflection_ok
+        assert report.grid.tolerance == 1e-9
+        failed = [c.name for c in verify.sweep_checks(report) if not c.passed]
+        assert not failed
         assert report.min_inflection_p is not None
         assert report.min_inflection_p > 0.56
         elapsed = time.perf_counter() - start
@@ -117,23 +118,7 @@ def test_criterion_7_concurrence_oracle_equivalence():
         for _ in range(50):
             psi = StateVector.random(2, rng)
             params = CloneParams(p=float(rng.uniform()), n=2)
-            rho_b, rho_c = clone_pair(psi, params)
-            f_b, f_c = clone_fidelities(params)
-            mu_value = ent.mu(psi.amplitudes)
-            assert (
-                abs(
-                    ent.wootters_concurrence(rho_b)
-                    - ent.clone_concurrence(mu_value, f_b)
-                )
-                <= 1e-9
-            )
-            assert (
-                abs(
-                    ent.wootters_concurrence(rho_c)
-                    - ent.clone_concurrence(mu_value, f_c)
-                )
-                <= 1e-9
-            )
+            assert verify.concurrence_deviation(psi, params) <= verify.EXACT_TOL
 
 
 def test_criterion_8_mixed_state_suite():
@@ -149,19 +134,15 @@ def test_criterion_8_mixed_state_suite():
         for alphas in inputs:
             mixed = MixedInput(alphas, 1)
             params = mixed.protocol_params(0.5)
-            formula = mx.mixed_fidelity(mixed, params)
             rho_b, _, _, _ = mx.teleclone_mixed(mixed, params)
-            oracle = qstate.uhlmann_fidelity(mixed.density(), rho_b)
-            assert abs(formula - oracle) <= 1e-8
-            assert 0.8 - 1e-9 <= formula <= 1.0 + 1e-9
-            f_mixed, f_pure = mx.monotonicity_check(mixed, params)
-            assert f_mixed >= f_pure - 1e-9
-        vertex = mx.mixed_fidelity(MixedInput(np.array([1.0, 0.0]), 1),
-                                   CloneParams(p=0.5, n=2))
-        uniform = mx.mixed_fidelity(MixedInput(np.array([0.5, 0.5]), 1),
-                                    CloneParams(p=0.5, n=2))
-        assert abs(vertex - 0.8) <= 1e-9
-        assert abs(uniform - 1.0) <= 1e-9
+            assert verify.mixed_fidelity_deviation(mixed, params, rho_b) <= verify.ORACLE_TOL
+            assert verify.fidelity_in_bounds(mx.mixed_fidelity(mixed, params), 0.8, 1.0)
+            assert verify.trace_monotone(mixed, params)
+        params = CloneParams(p=0.5, n=2)
+        vertex = mx.mixed_fidelity(MixedInput(np.array([1.0, 0.0]), 1), params)
+        uniform = mx.mixed_fidelity(MixedInput(np.array([0.5, 0.5]), 1), params)
+        assert verify.fidelity_in_bounds(vertex, 0.8, 0.8)
+        assert verify.fidelity_in_bounds(uniform, 1.0, 1.0)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.1f} s"
 
@@ -174,18 +155,12 @@ def test_criterion_9_uniform_outcomes():
         rng = np.random.default_rng(109)
         for n in (2, 3, 4):
             psi = StateVector.random(n, rng)
-            probs = pt.outcome_probabilities(psi, CloneParams(p=0.5, n=n))
-            assert len(probs) == 4**n
-            for value in probs.values():
-                assert abs(value - 0.25**n) <= 1e-9
+            params = CloneParams(p=0.5, n=n)
+            assert verify.outcome_probability_deviation(psi, params, 0.25**n) <= verify.EXACT_TOL
 
-        samples = 100_000
         psi = StateVector.random(2, rng)
-        counts = pt.sample_outcomes(psi, CloneParams(p=0.5, n=2), samples, seed=99)
-        assert sum(counts.values()) == samples
-        sigma = (samples * (1 / 16) * (15 / 16)) ** 0.5
-        for count in counts.values():
-            assert abs(count - samples / 16) <= 3 * sigma
+        check = verify.sampled_frequency_check(psi, CloneParams(p=0.5, n=2), 100_000, 99)
+        assert check.passed, check.detail
 
 
 def test_criterion_8_extension_two_qubit_mixed_large():
@@ -200,9 +175,7 @@ def test_criterion_8_extension_two_qubit_mixed_large():
             mixed = MixedInput(alphas, 2)
             params = mixed.protocol_params(0.5)
             rho_b, _, _, _ = mx.teleclone_mixed(mixed, params)
-            oracle = qstate.uhlmann_fidelity(mixed.density(), rho_b)
-            assert abs(mx.mixed_fidelity(mixed, params) - oracle) <= 1e-8
-            f_mixed, f_pure = mx.monotonicity_check(mixed, params)
-            assert f_mixed >= f_pure - 1e-9
+            assert verify.mixed_fidelity_deviation(mixed, params, rho_b) <= verify.ORACLE_TOL
+            assert verify.trace_monotone(mixed, params)
         elapsed = time.perf_counter() - start
         assert elapsed < 600.0, f"took {elapsed:.1f} s"

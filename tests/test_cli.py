@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,16 @@ class TestRunCommand:
         assert code == 2
         assert "norm" in capsys.readouterr().err
 
+    def test_nan_amplitude_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic warns
+            code = main(["run", "--input", "1,nan,0,0", "--outcome", "PHI+,PHI+",
+                         "--output", str(out)])
+        assert code == 2
+        assert "norm nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sampled_without_seed_exit_2(self, capsys):
         code = main(["run", "--n", "2", "--input", "bell"])
         assert code == 2
@@ -147,6 +158,15 @@ class TestRunCommand:
         code = main(["run", "--n", "5", "--input", "ghz", "--seed", "1"])
         assert code == 2
         assert "20-qubit limit" in capsys.readouterr().err
+
+    def test_oversize_register_refused_before_the_input(self, monkeypatch, capsys):
+        def no_input(*args):
+            raise AssertionError("input amplitudes drawn for an oversize run")
+
+        monkeypatch.setattr(teleclone.qstate.StateVector, "random", no_input)
+        code = main(["run", "--n", "28", "--input", "random", "--seed", "1"])
+        assert code == 2
+        assert "register size 140 is outside the 20-qubit limit" in capsys.readouterr().err
 
     def test_memory_error_exit_2(self, monkeypatch, capsys):
         def out_of_memory(*args, **kwargs):
@@ -239,6 +259,14 @@ class TestSweepFidelity:
         mid = next(r for r in rows if r["p"] == "0.5")
         assert float(mid["f_b"]) == pytest.approx(0.7, abs=1e-9)
 
+    def test_dimension_beyond_a_float_exit_2(self, tmp_path, capsys):
+        # d = 2^1024 cannot be converted to a float; 2^1023 still can
+        out = tmp_path / "fid.csv"
+        assert main(["sweep-fidelity", "--n", "1024", "--output", str(out)]) == 2
+        assert "overflows a float" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["sweep-fidelity", "--n", "1023", "--p-step", "0.5", "--output", str(out)]) == 0
+
 
 class TestMixedCommand:
     def test_vertex_uniform_and_samples(self, tmp_path, capsys):
@@ -287,6 +315,14 @@ class TestMixedCommand:
         code = main(["mixed", "--n", "2", "--p", "0.5", "--samples", "1", "--seed", "1"])
         assert code == 0
         assert capsys.readouterr().out.startswith("alpha_0,")
+
+    def test_oversize_register_refused_before_the_plans(self, monkeypatch, capsys):
+        def no_plans(*args):
+            raise AssertionError("simplex plans drawn for an oversize run")
+
+        monkeypatch.setattr(mx, "sample_simplex", no_plans)
+        assert main(["mixed", "--n", "14", "--seed", "1"]) == 2
+        assert "register size 140 is outside the 20-qubit limit" in capsys.readouterr().err
 
     def test_oversize_register_leaves_no_csv(self, tmp_path, capsys):
         out = tmp_path / "mixed3.csv"
@@ -519,3 +555,78 @@ class TestNumericOptions:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([*argv, f"{option}={value!r}"])  # '=': '-inf' is no flag
             assert code == 2, (argv, option, value, err.getvalue())
+
+
+class TestRunArguments:
+    """Bad --input, --outcome and preset values exit 2 and write no transcript."""
+
+    GARBAGE = ["", "abc", "1+", "0x1", "1..0", "--1", "(1", "i", "e", "1e", "j1", "+"]
+
+    @staticmethod
+    def unit_tokens(data, dim):
+        amps = data.draw(
+            st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=dim, max_size=dim)
+            .filter(lambda a: np.linalg.norm(a) > 0.1)
+        )
+        return [repr(a) for a in (np.asarray(amps) / np.linalg.norm(amps)).tolist()]
+
+    def bad_input(self, data, n):
+        """(amplitude string or preset, whether --seed is given)."""
+        dim = 1 << n
+        kind = data.draw(
+            st.sampled_from(["nonfinite", "count", "garbage", "norm", "basis", "bell", "random"])
+        )
+        if kind in ("nonfinite", "garbage"):
+            tokens = self.unit_tokens(data, dim)
+            bad = ["nan", "inf", "-inf", "nanj", "infj"] if kind == "nonfinite" else self.GARBAGE
+            tokens[data.draw(st.integers(0, dim - 1))] = data.draw(st.sampled_from(bad))
+            return ",".join(tokens), True
+        if kind == "count":
+            count = data.draw(st.integers(1, 9).filter(lambda c: c != dim))
+            return ",".join(self.unit_tokens(data, count)), True
+        if kind == "norm":
+            scale = data.draw(
+                st.one_of(st.floats(0.0, 1.0 - 2e-6), st.floats(1.0 + 2e-6, 1e6))
+            )
+            return ",".join(repr(float(t) * scale) for t in self.unit_tokens(data, dim)), True
+        if kind == "basis":
+            index = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=dim)))
+            return f"basis-{index}", True
+        if kind == "bell":
+            return "bell", True  # n is never 2 here
+        return "random", False
+
+    def bad_outcome(self, data, n):
+        labels = ["PHI+", "PHI-", "PSI+", "PSI-"]
+        kind = data.draw(st.sampled_from(["unknown", "empty", "count"]))
+        if kind == "count":
+            count = data.draw(st.integers(1, 5).filter(lambda c: c != n))
+            return ",".join(data.draw(st.lists(st.sampled_from(labels), min_size=count,
+                                               max_size=count)))
+        elements = data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+        bad = "" if kind == "empty" else data.draw(st.sampled_from(["PHI", "PSI*", "BELL", "X"]))
+        elements[data.draw(st.integers(0, n - 1))] = bad
+        return ",".join(elements)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bad_arguments_exit_2(self, tmp_path_factory, data):
+        n = data.draw(st.sampled_from([1, 3]))
+        if data.draw(st.booleans()):
+            spec, seeded = self.bad_input(data, n)
+            extra = "--seed=5" if seeded else "--outcome=" + ",".join(["PHI+"] * n)
+        else:
+            spec, extra = "ghz", "--outcome=" + self.bad_outcome(data, n)
+        out = tmp_path_factory.mktemp("run") / "t.json"
+        # '=': an amplitude string such as '-0.5,...' is no flag
+        argv = ["run", f"--n={n}", f"--input={spec}", extra, f"--output={out}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic warns
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        assert code == 2, (argv, err.getvalue())
+        assert not out.exists()

@@ -87,6 +87,12 @@ class TestCloneParams:
         with pytest.raises(ValueError):
             CloneParams(p=p, n=2)
 
+    def test_dimension_must_fit_a_float(self):
+        # every closed form turns d = 2^n into a float; 2^1024 overflows one
+        with pytest.raises(ValueError, match="overflows a float"):
+            CloneParams(p=0.5, n=1024)
+        assert float(CloneParams(p=0.5, n=1023).d) == 2.0**1023
+
     def test_derived_fields(self):
         params = CloneParams(p=0.3, n=3)
         assert params.q == pytest.approx(0.7)

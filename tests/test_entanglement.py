@@ -110,21 +110,6 @@ class TestWoottersConcurrence:
         rho_b, _ = clone_pair(bell, CloneParams(p=0.5, n=2))
         assert ent.wootters_concurrence(rho_b) == pytest.approx(0.4, abs=1e-9)
 
-    def test_matches_closed_form_on_random_pairs(self):
-        rng = np.random.default_rng(53)
-        for _ in range(50):
-            psi = StateVector.random(2, rng)
-            params = CloneParams(p=float(rng.uniform()), n=2)
-            rho_b, rho_c = clone_pair(psi, params)
-            f_b, f_c = clone_fidelities(params)
-            mu_value = ent.mu(psi.amplitudes)
-            assert ent.wootters_concurrence(rho_b) == pytest.approx(
-                ent.clone_concurrence(mu_value, f_b), abs=1e-9
-            )
-            assert ent.wootters_concurrence(rho_c) == pytest.approx(
-                ent.clone_concurrence(mu_value, f_c), abs=1e-9
-            )
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             ent.wootters_concurrence(np.triu(np.full((4, 4), 0.25)))

@@ -119,16 +119,6 @@ class TestMixedFidelity:
                 1.0, abs=1e-12
             )
 
-    def test_matches_uhlmann_oracle_on_simplex(self):
-        rng = np.random.default_rng(62)
-        for alphas in mx.sample_simplex(2, 20, rng):
-            mixed = MixedInput(alphas, 1)
-            params = mixed.protocol_params(0.5)
-            oracle = qstate.uhlmann_fidelity(
-                mixed.density(), mx.mixed_clone_formula(mixed, params)
-            )
-            assert mx.mixed_fidelity(mixed, params) == pytest.approx(oracle, abs=1e-8)
-
     def test_simplex_minimum_sits_at_vertices(self):
         # brute-force minimization oracle over a dense simplex grid
         params = CloneParams(p=0.35, n=2)

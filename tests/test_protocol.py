@@ -275,16 +275,6 @@ class TestPauliFrame:
 
 
 class TestRun:
-    def test_every_outcome_reaches_target_n2(self):
-        params = CloneParams(p=0.5, n=2)
-        channel = build_channel(params)
-        psi = random_input(2, 40)
-        for outcome in BellOutcome.all_outcomes(2):
-            transcript = run(psi, params, outcome=outcome, channel=channel)
-            assert transcript.target_overlap >= 1 - 1e-9
-            assert transcript.fidelity_b == pytest.approx(0.7, abs=1e-9)
-            assert transcript.fidelity_c == pytest.approx(0.7, abs=1e-9)
-
     def test_asymmetric_bell_input_fidelity(self):
         psi = StateVector.from_amplitudes([1, 0, 0, 1], normalize=True)
         params = CloneParams(p=0.3, n=2)
@@ -338,6 +328,12 @@ class TestRun:
         with pytest.raises(ValueError):
             run(bad, params, outcome=BellOutcome.all_phi_plus(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_input_rejected_by_the_norm_check(self, bad):
+        state = StateVector(np.array([1.0, bad, 0, 0], dtype=complex), 2)
+        with pytest.raises(ValueError, match="input state norm"):
+            run(state, CloneParams(p=0.5, n=2), outcome=BellOutcome.all_phi_plus(2))
+
     def test_transcript_round_trips_to_json(self):
         params = CloneParams(p=0.5, n=2)
         transcript = run(
@@ -388,10 +384,24 @@ class TestSampling:
 
 
 class TestEntanglementCost:
-    @pytest.mark.parametrize("p", [0.2, 0.5])
-    def test_maximally_entangled_reference_yields_two_ebits(self, p):
-        cost = entanglement_cost_check(CloneParams(p=p, n=2))
-        assert cost == pytest.approx(2.0, abs=1e-6)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_n_ebits_with_the_maximal_reference_and_none_without(self, n):
+        # the paper's "exactly n ebits": 2^(-n/2) sum_j |j>|j> on 2n + 4n
+        # qubits (18 at n=3) keeps n ebits across the reference cut
+        params = CloneParams(p=0.3, n=n)
+        assert entanglement_cost_check(params) == pytest.approx(n, abs=1e-6)
+        product = qstate.tensor(random_input(n, 48), StateVector.basis(0, n))
+        cost = entanglement_cost_check(params, input_state=product)
+        assert cost == pytest.approx(0.0, abs=1e-6)
+
+    def test_n4_reference_refused_before_the_channel(self, monkeypatch):
+        def no_channel(params):
+            raise AssertionError("build_channel called for an oversize check")
+
+        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        # (n + n_ref) + 4n = 8 + 16 = 24 qubits
+        with pytest.raises(ValueError, match="register size 24 is outside the 20-qubit limit"):
+            entanglement_cost_check(CloneParams(p=0.5, n=4))
 
     def test_outcome_independent(self):
         cost = entanglement_cost_check(

@@ -2,13 +2,47 @@ import pytest
 
 from teleclone import verify
 from teleclone.cloning import CloneParams
-from teleclone.protocol import ChannelState, build_channel
+from teleclone.protocol import BellOutcome, ChannelState, build_channel
 from teleclone.qstate import StateVector
+
+
+_P = ("0.0", "0.3", "0.5", "1.0")
+
+#: the report's shape: every group's check names, in order
+CHECK_NAMES = {
+    "qstate": [
+        "norm-preservation", "bell-completeness", "partial-trace-two-step",
+        "entropy-bounds", "uhlmann-properties", "uhlmann-symmetry",
+    ],
+    "transformations": [
+        name for p in _P for name in (f"parity-triples p={p}", f"state-triples p={p}")
+    ] + ["generalized-triples n=1..3"],
+    "channel": [
+        f"channel-{kind} n={n} p={p}" for n in (1, 2, 3) for p in _P for kind in ("norm", "entropy")
+    ] + ["channel-amplitudes n=2"],
+    "protocol": [
+        "all-outcomes-reach-target n=2,3", "fidelities-match-formula",
+        "uniform-outcome-probabilities", "universality-input-independence",
+        "locc-discipline", "measurement-order-invariance", "entanglement-cost",
+    ],
+    "entanglement": [
+        "concurrence-oracle-equivalence", "input-eof-vs-reduced-entropy",
+        "delta-nonnegative", "combined-eof-monotone", "inflection-above-0.56",
+        "gap-minimized-on-region-boundary", "physical-region-symmetry",
+        "physical-region-boundaries", "eof-monotone",
+    ],
+    "mixed": [
+        "purification-round-trip", "clone-formula-vs-simulation",
+        "fidelity-formula-vs-uhlmann", "fidelity-bound-containment", "trace-monotonicity",
+    ],
+    "outcomes": ["exact-uniform-1/16", "sampled-frequencies-3sigma"],
+}
 
 
 def test_all_groups_pass():
     results = verify.run_verification()
-    assert [r.name for r in results] == list(verify.GROUPS)
+    assert [r.name for r in results] == list(verify.GROUPS) == list(CHECK_NAMES)
+    assert {r.name: [c.name for c in r.checks] for r in results} == CHECK_NAMES
     for result in results:
         assert result.passed, [c.name for c in result.checks if not c.passed]
 
@@ -44,3 +78,54 @@ def test_check_result_serialization():
     assert data["name"] == "channel"
     assert data["passed"] is True
     assert all({"name", "passed", "detail"} <= set(c) for c in data["checks"])
+
+
+def test_bound_slack_is_exact_tol():
+    assert verify.fidelity_in_bounds(0.8 - 0.5e-9, 0.8, 1.0)
+    assert verify.fidelity_in_bounds(1.0 + 0.5e-9, 0.8, 1.0)
+    assert not verify.fidelity_in_bounds(0.8 - 2e-9, 0.8, 1.0)
+    assert not verify.fidelity_in_bounds(1.0 + 2e-9, 0.8, 1.0)
+    assert not verify.fidelity_in_bounds(float("nan"), 0.8, 1.0)
+
+
+def test_nan_deviation_is_never_skipped():
+    # the builtin max(0.0, nan) returns 0.0; a NaN must fail the check instead
+    params = CloneParams(p=0.5, n=2)
+    channel = build_channel(params)
+    psi = StateVector.basis(1, 2)
+    outcomes = [BellOutcome.parse("PHI+,PSI-"), BellOutcome.parse("PSI+,PHI-")]
+    overlap_dev, fidelity_dev = verify.protocol_deviations(
+        psi, channel, outcomes, (float("nan"), 0.7)
+    )
+    assert overlap_dev <= verify.EXACT_TOL
+    assert not fidelity_dev <= verify.EXACT_TOL
+
+
+def test_nan_instance_fails_its_group_check(monkeypatch):
+    real = verify.concurrence_deviation
+    calls = []
+
+    def nan_on_second(psi, params):
+        calls.append(psi)
+        return float("nan") if len(calls) == 2 else real(psi, params)
+
+    monkeypatch.setattr(verify, "concurrence_deviation", nan_on_second)
+    (result,) = verify.run_verification(["entanglement"])
+    check = result.checks[0]
+    assert check.name == "concurrence-oracle-equivalence"
+    assert not check.passed
+    assert "nan" in check.detail
+
+
+@pytest.mark.parametrize("change", ["drop", "extra"])
+def test_outcome_count_must_be_4_to_the_n(monkeypatch, change):
+    # a missing or an extra outcome fails, even when every listed one is 1/16
+    outcomes = list(BellOutcome.all_outcomes(2))
+    listed = outcomes[1:] if change == "drop" else outcomes + [BellOutcome.parse("PHI+")]
+    monkeypatch.setattr(
+        "teleclone.protocol.outcome_probabilities",
+        lambda psi, params: dict.fromkeys(listed, 1 / 16),
+    )
+    psi = StateVector.basis(0, 2)
+    params = CloneParams(p=0.5, n=2)
+    assert not verify.outcome_probability_deviation(psi, params, 1 / 16) <= verify.EXACT_TOL
