@@ -2,17 +2,21 @@
 
 Exit codes: 0 success, 1 invariant failure (a failed verify check or a
 MonotonicityError), 2 usage error: a bad argument, a register beyond the
-20-qubit limit (refused before it is allocated, leaving no output file)
-or running out of memory.  CSV cells are '%.12g' numbers ('.' decimals,
-12 significant digits), never quoted, with LF line endings, so that
-identical configs produce byte-identical files; JSON output is sorted-key.
+20-qubit limit (refused before it is allocated, leaving no output file),
+running out of memory, or an unexpected exception, reported as an
+internal error with its traceback.  CSV cells are '%.12g' numbers ('.'
+decimals, 12 significant digits), never quoted, with LF line endings, so
+that identical configs produce byte-identical files; JSON output is
+sorted-key.
 """
 
 import argparse
 import contextlib
 import json
 import math
+import re
 import sys
+import traceback
 
 import numpy as np
 
@@ -251,8 +255,32 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+#: every negative number float() reads: -1e-13, -.5, -1_000, -inf, -nan
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d(_?\d)*\.?(\d(_?\d)*)?|\.\d(_?\d)*)([eE][-+]?\d(_?\d)*)?$"
+    r"|^-(inf|infinity|nan)$",
+    re.IGNORECASE,
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads `--p -1e-13` as `--p=-1e-13`.
+
+    argparse takes any argument that starts with '-' for an option unless
+    its `_negative_number_matcher` (an attribute of every ArgumentParser in
+    Python 3.10-3.13) matches it, and the stock pattern knows only -5 and
+    -1.5.  No option of this CLI looks like a number, so widening it to
+    every negative float literal changes nothing else; subparsers inherit
+    the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="teleclone",
         description="Simulate and verify 1->2 asymmetric telecloning of multiqubit states.",
     )
@@ -321,6 +349,10 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except Exception:  # a bug, not a failed invariant: never exit 1 for it
+        print("internal error", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 

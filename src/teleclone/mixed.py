@@ -157,19 +157,19 @@ def fidelity_bounds(params: CloneParams) -> tuple[float, float]:
     return lower_b, lower_c
 
 
-def monotonicity_check(
+def trace_fidelities(
     mixed: MixedInput,
     params: CloneParams,
     *,
     outcome: BellOutcome | None = None,
     seed: int | None = None,
 ) -> tuple[float, float]:
-    """Simulated (F_mixed, F_pure) pair for one protocol instance.
+    """Simulated (F_mixed, F_pure) pair for one protocol instance; never raises on a violation.
 
     F_mixed compares the traced-down clone with the mixed input via the
     Uhlmann fidelity; F_pure compares the purified clone pair with the
     purification.  Tracing is a quantum operation, so F_mixed can only be
-    larger; a violation beyond 1e-9 raises MonotonicityError.
+    larger.
     """
     _check_protocol_params(mixed, params)
     transcript = _run_purified(mixed, params, outcome, seed)
@@ -177,6 +177,18 @@ def monotonicity_check(
     f_pure = state_fidelity(purify(mixed), rho_bb)
     rho_b = partial_trace(rho_bb, range(mixed.n))
     f_mixed = uhlmann_fidelity(mixed.density(), rho_b)
+    return f_mixed, f_pure
+
+
+def monotonicity_check(
+    mixed: MixedInput,
+    params: CloneParams,
+    *,
+    outcome: BellOutcome | None = None,
+    seed: int | None = None,
+) -> tuple[float, float]:
+    """trace_fidelities, raising MonotonicityError if F_mixed < F_pure - 1e-9."""
+    f_mixed, f_pure = trace_fidelities(mixed, params, outcome=outcome, seed=seed)
     if f_mixed < f_pure - 1e-9:
         raise MonotonicityError(
             f"tracing decreased fidelity: F_mixed={f_mixed} < F_pure={f_pure}"

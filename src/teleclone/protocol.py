@@ -11,6 +11,7 @@ Register layouts (big-endian blocks of n qubits each):
   final state  (B, C, anc)               3n qubits
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -68,6 +69,13 @@ class BellOutcome:
         """All 4^n joint outcomes, in a fixed deterministic order."""
         for combo in itertools.product(_BELL_ORDER, repeat=n):
             yield cls(combo)
+
+    def index(self) -> int:
+        """This outcome's position in all_outcomes(num_pairs): base-4 digits, pair 0 first."""
+        index = 0
+        for element in self.elements:
+            index = 4 * index + _BELL_ORDER.index(element)
+        return index
 
     def classical_bits(self) -> tuple:
         """The 2n broadcast bits: per pair, (kind, parity) with PSI/- = 1."""
@@ -316,16 +324,16 @@ def run(
     )
 
 
-def outcome_probabilities(psi: StateVector, params: CloneParams) -> dict:
-    """Exact joint probability of every one of the 4^n outcomes.
+def _sender_rows(psi: StateVector, channel: ChannelState) -> tuple[np.ndarray, np.ndarray]:
+    """The (4^n, 8^n) residuals of every outcome and their probabilities.
 
     Each sender pair turns the (batch, 2^m) residuals into (4 * batch,
     2^(m-2)), one row per branch; row k ends up as the k-th outcome of
-    BellOutcome.all_outcomes, its squared norm that outcome's probability.
-    For any normalized input the distribution comes out uniform at 4^(-n).
+    BellOutcome.all_outcomes, on the (B, C, anc) register and scaled by
+    2^(n/2), so its squared norm over 2^n is that outcome's probability.
     """
-    total = attach_input(psi.normalized(), build_channel(params))
-    n = params.n
+    total = attach_input(psi, channel)
+    n = channel.params.n
     amps, m = total.amplitudes[None, :], total.num_qubits
     for step in range(n):
         # pair (A_step, A'_step): earlier projections removed qubits
@@ -337,7 +345,88 @@ def outcome_probabilities(psi: StateVector, params: CloneParams) -> dict:
         amps, m = branches.reshape(4 * len(amps), -1), m - 2
     # every pair's _bell_sum carries a factor sqrt(2)
     probs = (np.abs(amps) ** 2).sum(axis=1) / 2**n
-    return dict(zip(BellOutcome.all_outcomes(n), probs.tolist()))
+    return amps, probs
+
+
+def outcome_probabilities(psi: StateVector, params: CloneParams) -> dict:
+    """Exact joint probability of every one of the 4^n outcomes.
+
+    The row norms of the batch walk that evaluate_outcomes also takes, and
+    nothing else: no correction, overlap or fidelity is computed.  Keyed
+    by BellOutcome in all_outcomes order.  For any normalized input the
+    distribution comes out uniform at 4^(-n).
+    """
+    _, probs = _sender_rows(psi.normalized(), build_channel(params))
+    return dict(zip(BellOutcome.all_outcomes(params.n), probs.tolist()))
+
+
+@functools.cache
+def _pauli_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) of every outcome's corrections on the (B, C, anc) register.
+
+    Row k belongs to the k-th outcome of BellOutcome.all_outcomes: its
+    correction plan applies X on the qubits of xmask, then Z on those of
+    zmask (correction_plan lists every X before any Z), so the corrected
+    amplitude at i is (-1)^popcount(i & zmask) * residual[i ^ xmask].
+    Both (4^n, 8^n) arrays are read-only.
+    """
+    m = 3 * n
+    masks = []
+    for outcome in BellOutcome.all_outcomes(n):
+        xmask = zmask = 0
+        for correction in correction_plan(outcome):
+            bits = sum(1 << (m - 1 - t) for t in correction.targets)
+            if correction.op == "x":
+                xmask ^= bits
+            else:
+                zmask ^= bits
+        masks.append((xmask, zmask))
+    xmask, zmask = np.array(masks, dtype=np.intp).T
+    positions = np.arange(1 << m, dtype=np.intp)
+    index = positions ^ xmask[:, None]
+    phased = positions & zmask[:, None]
+    parity = np.zeros_like(phased)
+    for bit in range(m):  # popcount parity; np.bitwise_count would need numpy >= 2
+        parity ^= (phased >> bit) & 1
+    sign = 1.0 - 2.0 * parity
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+def evaluate_outcomes(
+    psi: StateVector, channel: ChannelState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every forced outcome of one input in one batch, without calling run.
+
+    Returns four arrays in BellOutcome.all_outcomes order: the outcome's
+    probability, the corrected state's overlap |<target|final>|^2 with
+    target_state, and the clone fidelities F_B and F_C, each what
+    run(psi, channel.params, outcome=..., channel=channel) reports.  The
+    residual rows are normalized, every outcome's Pauli frame is one
+    gather and one sign, the overlaps are one matrix-vector product, and
+    F_B (F_C) is the squared norm of conj(psi) contracted into the B (C)
+    axis of the (4^n, d, d, d) final states.  The input is checked as in
+    run, before anything is allocated.
+    """
+    params = channel.params
+    n, d = params.n, params.d
+    if psi.num_qubits != n:
+        raise ValueError("input register size does not match the channel's n")
+    _check_register_size(5 * n)  # the attached state, before any allocation
+    if not abs(psi.norm - 1.0) <= 1e-6:  # NaN fails it too
+        raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
+    psi = psi.normalized()
+    rows, probs = _sender_rows(psi, channel)
+    index, sign = _pauli_frame(n)
+    final = np.take_along_axis(rows, index, axis=1)
+    final *= sign / np.sqrt(probs * 2**n)[:, None]  # the frame's signs, rows normalized
+    target = target_state(psi.amplitudes, params).amplitudes
+    overlap = np.abs(final @ target.conj()) ** 2
+    final = final.reshape(-1, d, d, d)  # (outcome, B, C, anc)
+    bra = psi.amplitudes.conj()
+    fidelity_b = (np.abs(np.tensordot(final, bra, axes=(1, 0))) ** 2).sum(axis=(1, 2))
+    fidelity_c = (np.abs(np.tensordot(final, bra, axes=(2, 0))) ** 2).sum(axis=(1, 2))
+    return probs, overlap, fidelity_b, fidelity_c
 
 
 def sample_outcomes(

@@ -361,6 +361,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown group" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [TypeError, KeyError, AttributeError, ZeroDivisionError])
+    def test_unexpected_exception_is_an_internal_error_exit_2(self, monkeypatch, capsys, error):
+        def broken(groups, seed):
+            raise error("a bug")
+
+        monkeypatch.setattr(teleclone.verify, "run_verification", broken)
+        assert main(["verify"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("internal error\n")
+        assert "Traceback (most recent call last)" in err
+        assert f"{error.__name__}: " in err
+
 
 def _fmt(value) -> str:
     """One CSV cell as the per-cell writer formatted it."""
@@ -555,6 +567,66 @@ class TestNumericOptions:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([*argv, f"{option}={value!r}"])  # '=': '-inf' is no flag
             assert code == 2, (argv, option, value, err.getvalue())
+
+
+def call_main(argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), argparse's own exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestNegativeNumberValues:
+    """`--opt -1e-13` is the same value as `--opt=-1e-13` on every number option."""
+
+    # every float and int option, with the other arguments its command needs
+    NUMBER_OPTIONS = {
+        ("run", "--n"): ["run", "--input", "ghz", "--seed", "1"],
+        ("run", "--p"): ["run", "--input", "ghz", "--seed", "1"],
+        ("run", "--seed"): ["run", "--input", "ghz"],
+        ("sweep-delta", "--mu"): ["sweep-delta", "--p", "0.5"],
+        ("sweep-delta", "--p"): ["sweep-delta", "--mu", "0.3", "--p-step", "0.1"],
+        ("sweep-delta", "--mu-step"): ["sweep-delta", "--p-step", "0.1"],
+        ("sweep-delta", "--p-step"): ["sweep-delta", "--mu", "0.3"],
+        ("sweep-fidelity", "--n"): ["sweep-fidelity", "--p-step", "0.1"],
+        ("sweep-fidelity", "--p-step"): ["sweep-fidelity"],
+        ("mixed", "--n"): ["mixed", "--seed", "1", "--samples", "2"],
+        ("mixed", "--p"): ["mixed", "--seed", "1", "--samples", "2"],
+        ("mixed", "--samples"): ["mixed", "--seed", "1"],
+        ("mixed", "--seed"): ["mixed", "--samples", "2"],
+        ("verify", "--seed"): ["verify", "--group", "transformations"],
+    }
+
+    NEGATIVE = st.one_of(
+        st.floats(max_value=-0.0).map(repr),  # -0.0, -5e-324, -1e-13, -1e+300, -inf
+        st.integers(max_value=-1).map(str),
+        st.sampled_from(["-1e-13", "-1E5", "-.5", "-1.", "-1_000", "-inf", "-Infinity", "-nan"]),
+    )
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.sampled_from(sorted(NUMBER_OPTIONS)), value=NEGATIVE)
+    def test_space_form_equals_equals_form(self, case, value):
+        _, option = case
+        argv = self.NUMBER_OPTIONS[case]
+        spaced = call_main([*argv, option, value])
+        joined = call_main([*argv, f"{option}={value}"])
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
+
+    def test_tiny_negative_p_is_accepted(self):
+        code, out, _ = call_main(["sweep-delta", "--mu", "0.3", "--p", "-1e-13"])
+        assert code == 0
+        assert out.splitlines()[1].startswith("0.3,-1e-13,")
+
+    @pytest.mark.parametrize("value", ["-inf", "-1e5"])
+    def test_out_of_range_p_gets_the_range_message(self, value):
+        code, out, err = call_main(["sweep-delta", "--mu", "0.3", "--p", value])
+        assert (code, out) == (2, "")
+        assert err == "error: p outside [0, 1]\n"
 
 
 class TestRunArguments:

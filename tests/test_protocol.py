@@ -13,6 +13,7 @@ from teleclone.protocol import (
     correction_plan,
     apply_corrections,
     entanglement_cost_check,
+    evaluate_outcomes,
     measure_senders,
     outcome_probabilities,
     project_pairs,
@@ -346,6 +347,74 @@ class TestRun:
         assert data["corrections"][0]["op"] == "x"
         assert data["probability"] == pytest.approx(1 / 16)
         assert data["target_overlap"] >= 1 - 1e-9
+
+
+class TestEvaluateOutcomes:
+    """The batch of all 4^n outcomes, with run as the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [0.0, 0.35, 1.0])
+    def test_every_outcome_matches_run(self, n, p):
+        params = CloneParams(p=p, n=n)
+        channel = build_channel(params)
+        psi = random_input(n, 60 + n)
+        columns = evaluate_outcomes(psi, channel)
+        assert all(column.shape == (4**n,) for column in columns)
+        for k, outcome in enumerate(BellOutcome.all_outcomes(n)):
+            tr = run(psi, params, outcome=outcome, channel=channel)
+            expected = (tr.probability, tr.target_overlap, tr.fidelity_b, tr.fidelity_c)
+            for column, value in zip(columns, expected):
+                assert abs(column[k] - value) <= 1e-12, (outcome, column[k], value)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_probabilities_are_outcome_probabilities(self, n):
+        params = CloneParams(p=0.3, n=n)
+        psi = random_input(n, 70 + n)
+        probs, _, _, _ = evaluate_outcomes(psi, build_channel(params))
+        table = outcome_probabilities(psi, params)
+        assert list(table) == list(BellOutcome.all_outcomes(n))
+        assert list(table.values()) == probs.tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_index_is_the_enumeration_position(self, n):
+        for k, outcome in enumerate(BellOutcome.all_outcomes(n)):
+            assert outcome.index() == k
+
+    def test_frame_arrays_are_cached_and_read_only(self):
+        index, sign = protocol._pauli_frame(2)
+        assert protocol._pauli_frame(2)[0] is index
+        assert index.shape == sign.shape == (16, 64)
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+        with pytest.raises(ValueError):
+            sign[0, 0] = -1.0
+
+    def test_oversize_register_refused_before_allocation(self, monkeypatch):
+        def no_attach(psi, channel):
+            raise AssertionError("attach_input called for an oversize batch")
+
+        monkeypatch.setattr(protocol, "attach_input", no_attach)
+        # the n=5 channel itself fits (20 qubits); a stand-in avoids building it
+        channel = protocol.ChannelState(StateVector.basis(0, 1), CloneParams(p=0.5, n=5))
+        with pytest.raises(ValueError, match="register size 25 is outside the 20-qubit limit"):
+            evaluate_outcomes(random_input(5, 80), channel)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="register size does not match"):
+            evaluate_outcomes(random_input(3, 81), build_channel(CloneParams(p=0.5, n=2)))
+
+    @pytest.mark.parametrize(
+        "amplitudes", [[1.0, 0, 0, 1.0], [1.0 + 2e-6, 0, 0, 0], [1.0, np.nan, 0, 0]]
+    )
+    def test_norm_checked_before_allocation(self, monkeypatch, amplitudes):
+        def no_attach(psi, channel):
+            raise AssertionError("attach_input called for a bad input")
+
+        channel = build_channel(CloneParams(p=0.5, n=2))
+        monkeypatch.setattr(protocol, "attach_input", no_attach)
+        state = StateVector(np.array(amplitudes, dtype=complex), 2)
+        with pytest.raises(ValueError, match="input state norm"):
+            evaluate_outcomes(state, channel)
 
 
 class TestSampling:

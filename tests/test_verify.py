@@ -1,7 +1,14 @@
+import io
+import json
+from contextlib import redirect_stdout
+
+import numpy as np
 import pytest
 
-from teleclone import verify
-from teleclone.cloning import CloneParams
+from teleclone import cli, verify
+from teleclone import mixed as mx
+from teleclone import protocol as pt
+from teleclone.cloning import CloneParams, clone_fidelities
 from teleclone.protocol import BellOutcome, ChannelState, build_channel
 from teleclone.qstate import StateVector
 
@@ -129,3 +136,96 @@ def test_outcome_count_must_be_4_to_the_n(monkeypatch, change):
     psi = StateVector.basis(0, 2)
     params = CloneParams(p=0.5, n=2)
     assert not verify.outcome_probability_deviation(psi, params, 1 / 16) <= verify.EXACT_TOL
+
+
+def per_outcome_deviations(psi, channel, outcomes, fidelities):
+    """The route protocol_deviations replaced: one run per listed outcome."""
+    overlaps, fids = [0.0], [0.0]
+    for outcome in outcomes:
+        tr = pt.run(psi, channel.params, outcome=outcome, channel=channel)
+        overlaps.append(1.0 - tr.target_overlap)
+        fids += [abs(tr.fidelity_b - fidelities[0]), abs(tr.fidelity_c - fidelities[1])]
+    return max(overlaps), max(fids)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("select", ["all", "subset", "reversed"])
+def test_protocol_deviations_equal_the_per_outcome_route(n, select):
+    params = CloneParams(p=0.35, n=n)
+    channel = build_channel(params)
+    outcomes = list(BellOutcome.all_outcomes(n))
+    outcomes = {"all": outcomes, "subset": outcomes[3::5], "reversed": outcomes[::-1]}[select]
+    psi = StateVector.random(n, np.random.default_rng(90 + n))
+    # expected fidelities off by 1e-6, so the fidelity deviations are not rounding noise
+    expected = tuple(f + 1e-6 for f in clone_fidelities(params))
+    batch = verify.protocol_deviations(psi, channel, outcomes, expected)
+    oracle = per_outcome_deviations(psi, channel, outcomes, expected)
+    np.testing.assert_allclose(batch, oracle, rtol=0, atol=1e-12)
+
+
+def test_protocol_deviations_select_their_rows(monkeypatch):
+    # row k of a stand-in batch deviates by k: only the listed rows may count
+    ks = np.arange(16.0)
+    monkeypatch.setattr(pt, "evaluate_outcomes", lambda psi, channel: (ks, 1.0 - ks, ks, -ks))
+    channel = build_channel(CloneParams(p=0.5, n=2))
+    outcomes = list(BellOutcome.all_outcomes(2))
+    psi = StateVector.basis(0, 2)
+    assert verify.protocol_deviations(psi, channel, [outcomes[5], outcomes[2]], (0.0, 0.0)) == (
+        5.0, 5.0,
+    )
+    assert verify.protocol_deviations(psi, channel, outcomes[9:11], (0.0, 0.0)) == (10.0, 10.0)
+    assert verify.protocol_deviations(psi, channel, [], (0.0, 0.0)) == (0.0, 0.0)
+
+
+def test_protocol_deviations_reject_a_wrong_length_outcome():
+    channel = build_channel(CloneParams(p=0.5, n=2))
+    with pytest.raises(ValueError, match="2 Bell elements"):
+        verify.protocol_deviations(
+            StateVector.basis(0, 2), channel, [BellOutcome.parse("PHI+")], (0.7, 0.7)
+        )
+
+
+def run_verify_mixed():
+    """`teleclone verify --group mixed`: exit code and the printed report."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["verify", "--group", "mixed"])
+    return code, json.loads(out.getvalue())
+
+
+def mixed_check(report, name):
+    (group,) = report["groups"]
+    return next(c for c in group["checks"] if c["name"] == name)
+
+
+def test_lifted_lower_bound_fails_verify(monkeypatch):
+    # the bound is attained at the vertices, so lifting it by 1e-3 must fail
+    real = mx.fidelity_bounds
+
+    def lifted(params):
+        lower_b, lower_c = real(params)
+        return lower_b + 1e-3, lower_c + 1e-3
+
+    monkeypatch.setattr(mx, "fidelity_bounds", lifted)
+    code, report = run_verify_mixed()
+    assert code == 1
+    assert report["passed"] is False
+    assert mixed_check(report, "fidelity-bound-containment")["passed"] is False
+
+
+def test_bound_containment_detail():
+    code, report = run_verify_mixed()
+    assert code == 0
+    check = mixed_check(report, "fidelity-bound-containment")
+    assert check["detail"] == (
+        "20 simplex samples in [bound, 1]; vertices at the bound, uniform at 1"
+    )
+
+
+def test_monotonicity_violation_is_reported_not_raised(monkeypatch):
+    monkeypatch.setattr(mx, "uhlmann_fidelity", lambda rho1, rho2: 0.5)
+    code, report = run_verify_mixed()
+    assert code == 1
+    assert report["passed"] is False
+    assert mixed_check(report, "trace-monotonicity")["passed"] is False
+    assert mixed_check(report, "purification-round-trip")["passed"] is True
