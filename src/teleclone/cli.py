@@ -255,11 +255,15 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-#: every negative number float() reads: -1e-13, -.5, -1_000, -inf, -nan
-_NEGATIVE_NUMBER = re.compile(
-    r"^-(\d(_?\d)*\.?(\d(_?\d)*)?|\.\d(_?\d)*)([eE][-+]?\d(_?\d)*)?$"
-    r"|^-(inf|infinity|nan)$",
-    re.IGNORECASE,
+#: an unsigned number float() reads: 1e-13, .5, 1_000, inf, nan
+_UNSIGNED = (
+    r"(?:(?:\d(?:_?\d)*\.?(?:\d(?:_?\d)*)?|\.\d(?:_?\d)*)(?:e[-+]?\d(?:_?\d)*)?"
+    r"|inf(?:inity)?|nan)"
+)
+#: a negative real or complex literal (-1e-13, -inf, -0.5+2j, -1j), alone
+#: or first in a comma-separated amplitude list (-0.5,0.5,0.5,0.5)
+_NEGATIVE_VALUE = re.compile(
+    rf"^-{_UNSIGNED}(?:[-+]{_UNSIGNED}?j|j)?(?:,.*)?$", re.IGNORECASE | re.DOTALL
 )
 
 
@@ -269,14 +273,15 @@ class _Parser(argparse.ArgumentParser):
     argparse takes any argument that starts with '-' for an option unless
     its `_negative_number_matcher` (an attribute of every ArgumentParser in
     Python 3.10-3.13) matches it, and the stock pattern knows only -5 and
-    -1.5.  No option of this CLI looks like a number, so widening it to
-    every negative float literal changes nothing else; subparsers inherit
-    the class.
+    -1.5.  No option of this CLI looks like a number or holds a comma, so
+    widening it to every negative real or complex literal, and to an
+    amplitude list that starts with one, changes nothing else; subparsers
+    inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,6 +348,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except mx.MonotonicityError as exc:
         print(f"invariant failed: {exc}", file=sys.stderr)

@@ -20,23 +20,18 @@ import numpy as np
 
 from .cloning import CloneParams, cloner_basis_state, target_state
 from .qstate import (
+    _BELL_ORDER,
     BellElement,
     StateVector,
-    _bell_sum,
+    _bell_walk,
     _check_position,
     _check_register_size,
-    _pair_blocks,
-    bell_probabilities,
-    bell_project,
+    _collapse,
     entanglement_entropy,
     reduced_density,
     state_fidelity,
     tensor,
 )
-
-#: PHI+, PHI-, PSI+, PSI-: outcome enumeration and sampling order
-_BELL_ORDER = tuple(BellElement)
-
 
 @dataclass(frozen=True)
 class BellOutcome:
@@ -151,30 +146,9 @@ def project_pairs(
         raise ValueError("pass exactly one of outcome= (forced) or rng= (sampled)")
     if outcome is not None and outcome.num_pairs != len(pairs):
         raise ValueError("outcome length does not match the number of pairs")
-    remaining = list(range(state.num_qubits))
-    current = state
-    elements = []
-    joint_prob = 1.0
-    for step, (qa, qb) in enumerate(pairs):
-        ia, ib = remaining.index(qa), remaining.index(qb)
-        if outcome is not None:
-            element = outcome.elements[step]
-        else:
-            probs = bell_probabilities(current, (ia, ib))
-            draw = rng.random()
-            acc = 0.0
-            element = _BELL_ORDER[-1]
-            for candidate in _BELL_ORDER:
-                acc += probs[candidate]
-                if draw < acc:
-                    element = candidate
-                    break
-        current, prob = bell_project(current, (ia, ib), element)
-        elements.append(element)
-        joint_prob *= prob
-        remaining.remove(qa)
-        remaining.remove(qb)
-    return BellOutcome(tuple(elements)), current, joint_prob
+    mode = {"outcome": outcome.elements} if rng is None else {"draws": rng.random((1, len(pairs)))}
+    collapsed, elements, prob = _collapse(state, pairs, **mode)
+    return BellOutcome(tuple(_BELL_ORDER[e] for e in elements)), collapsed, prob
 
 
 def measure_senders(
@@ -324,28 +298,11 @@ def run(
     )
 
 
-def _sender_rows(psi: StateVector, channel: ChannelState) -> tuple[np.ndarray, np.ndarray]:
-    """The (4^n, 8^n) residuals of every outcome and their probabilities.
-
-    Each sender pair turns the (batch, 2^m) residuals into (4 * batch,
-    2^(m-2)), one row per branch; row k ends up as the k-th outcome of
-    BellOutcome.all_outcomes, on the (B, C, anc) register and scaled by
-    2^(n/2), so its squared norm over 2^n is that outcome's probability.
-    """
-    total = attach_input(psi, channel)
-    n = channel.params.n
-    amps, m = total.amplitudes[None, :], total.num_qubits
-    for step in range(n):
-        # pair (A_step, A'_step): earlier projections removed qubits
-        # {0..step-1} and {n..n+step-1}, so the pair now sits at (0, n-step)
-        blocks = _pair_blocks(amps, m, (0, n - step))
-        branches = np.empty((len(amps), 4) + blocks[0].shape[1:], dtype=complex)
-        for k, element in enumerate(_BELL_ORDER):
-            _bell_sum(blocks, element, out=branches[:, k])
-        amps, m = branches.reshape(4 * len(amps), -1), m - 2
-    # every pair's _bell_sum carries a factor sqrt(2)
-    probs = (np.abs(amps) ** 2).sum(axis=1) / 2**n
-    return amps, probs
+def _sender_walk(psi: StateVector, channel: ChannelState, draws=None) -> tuple:
+    """_bell_walk over the sender pairs (A_i, A'_i) of attach_input(psi, channel)."""
+    total, n = attach_input(psi, channel), channel.params.n
+    pairs = [(i, n + i) for i in range(n)]
+    return _bell_walk(total.amplitudes, total.num_qubits, pairs, draws=draws)
 
 
 def outcome_probabilities(psi: StateVector, params: CloneParams) -> dict:
@@ -356,7 +313,8 @@ def outcome_probabilities(psi: StateVector, params: CloneParams) -> dict:
     by BellOutcome in all_outcomes order.  For any normalized input the
     distribution comes out uniform at 4^(-n).
     """
-    _, probs = _sender_rows(psi.normalized(), build_channel(params))
+    rows, _, _ = _sender_walk(psi.normalized(), build_channel(params))
+    probs = (np.abs(rows) ** 2).sum(axis=1) / 2**params.n
     return dict(zip(BellOutcome.all_outcomes(params.n), probs.tolist()))
 
 
@@ -416,7 +374,8 @@ def evaluate_outcomes(
     if not abs(psi.norm - 1.0) <= 1e-6:  # NaN fails it too
         raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
     psi = psi.normalized()
-    rows, probs = _sender_rows(psi, channel)
+    rows, _, _ = _sender_walk(psi, channel)
+    probs = (np.abs(rows) ** 2).sum(axis=1) / 2**n
     index, sign = _pauli_frame(n)
     final = np.take_along_axis(rows, index, axis=1)
     final *= sign / np.sqrt(probs * 2**n)[:, None]  # the frame's signs, rows normalized
@@ -432,15 +391,12 @@ def evaluate_outcomes(
 def sample_outcomes(
     psi: StateVector, params: CloneParams, num_samples: int, seed: int
 ) -> dict:
-    """Seeded outcome counts drawn from the exact joint distribution."""
-    probs = outcome_probabilities(psi, params)
-    outcomes = list(probs)
-    weights = np.array([probs[o] for o in outcomes])
-    weights = weights / weights.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(outcomes), size=num_samples, p=weights)
-    counts = np.bincount(draws, minlength=len(outcomes))
-    return {outcome: int(count) for outcome, count in zip(outcomes, counts)}
+    """Counts of num_samples consecutive measure_senders draws from one default_rng(seed)."""
+    draws = np.random.default_rng(seed).random((num_samples, params.n))
+    _, elements, trials = _sender_walk(psi, build_channel(params), draws)
+    index = np.array(elements) @ 4 ** np.arange(params.n - 1, -1, -1)  # BellOutcome.index
+    counts = np.bincount(index[trials], minlength=4**params.n)
+    return dict(zip(BellOutcome.all_outcomes(params.n), counts.tolist()))
 
 
 def entanglement_cost_check(

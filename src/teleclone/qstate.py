@@ -9,7 +9,6 @@ All operations are pure: they return new values and never mutate their
 inputs.  States and density matrices are safe to share across threads.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -230,6 +229,10 @@ class BellElement(Enum):
         raise ValueError(f"unknown Bell element {label!r}; expected PHI+/PHI-/PSI+/PSI-")
 
 
+#: PHI+, PHI-, PSI+, PSI-: outcome enumeration and sampling order
+_BELL_ORDER = tuple(BellElement)
+
+
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; `a`'s register occupies the high bits of the result."""
     _check_register_size(a.num_qubits + b.num_qubits)
@@ -257,10 +260,6 @@ def _pair_blocks(amps: np.ndarray, num_qubits: int, pair: tuple[int, int]) -> li
     view (no copy) that keeps the other qubits in their relative order.
     """
     i, j = pair
-    _check_position(i, num_qubits)
-    _check_position(j, num_qubits)
-    if i == j:
-        raise ValueError("the two pair positions must be distinct")
     first, last = sorted(pair)
     view = amps.reshape(
         len(amps), 1 << first, 2, 1 << (last - first - 1), 2, 1 << (num_qubits - last - 1)
@@ -270,15 +269,74 @@ def _pair_blocks(amps: np.ndarray, num_qubits: int, pair: tuple[int, int]) -> li
     return [view[:, :, a, :, b, :] for a in (0, 1) for b in (0, 1)]
 
 
-def _bell_sum(blocks: list, element: BellElement, out: np.ndarray | None = None):
-    """sqrt(2) <element|_pair psi: the element's signed sum of two pair blocks."""
-    first, second = (blocks[0], blocks[3]) if element.kind == "PHI" else (blocks[1], blocks[2])
-    combine = np.add if element.sign > 0 else np.subtract
-    return combine(first, second, out=out)
+def _bell_weights(blocks: list) -> np.ndarray:
+    """(rows, 4) |b0 + b3|^2, |b0 - b3|^2, |b1 + b2|^2, |b1 - b2|^2, twice each Bell weight.
+
+    Six reductions of the float views (four norms, two real cross terms), no temporary.
+    """
+    f = [block.view(np.float64) for block in blocks]
+
+    def dot(a, b):  # row by row: a scalar einsum needs no buffer, a batched one does
+        return np.array([np.einsum("hml,hml->", x, y) for x, y in zip(f[a], f[b])])
+
+    phi, psi = dot(0, 0) + dot(3, 3), dot(1, 1) + dot(2, 2)
+    phi_x, psi_x = 2 * dot(0, 3), 2 * dot(1, 2)
+    return np.stack([phi + phi_x, phi - phi_x, psi + psi_x, psi - psi_x], axis=1)
 
 
-#: row e holds Bell element e's amplitudes over the pair values 00, 01, 10, 11
-_BELL_MATRIX = np.array([element.tensor().real.reshape(4) for element in BellElement])
+def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=None):
+    """Bell-measure qubit pairs, in order; positions refer to the original register.
+
+    Forced (`outcome`, a BellElement per pair) keeps the named branch; sampled
+    (`draws`, (trials, pairs) uniforms) keeps, per trial, the first element in
+    BellElement order whose cumulative conditional probability exceeds its
+    draw; with neither, all 4^k branches, in BellOutcome.all_outcomes order.
+    Only kept branches are formed, each once.  Returns the rows (sqrt(2)^k
+    times the projected state: squared norm / 2^k is the joint probability),
+    each row's k element indices (a tuple per row) and, if sampled, each
+    trial's row.
+    """
+    positions = [q for pair in pairs for q in pair]
+    for q in positions:
+        _check_position(q, num_qubits)
+    if len(set(positions)) != len(positions):
+        raise ValueError("pair positions must be distinct")
+    rows, m, removed, elements = amps[None, :], num_qubits, [], [()]
+    trials = np.zeros(0 if draws is None else len(draws), dtype=np.intp)
+    for step, pair in enumerate(pairs):
+        blocks = _pair_blocks(rows, m, [q - sum(r < q for r in removed) for q in pair])
+        if outcome is not None:
+            keys = [_BELL_ORDER.index(outcome[step])]
+        elif draws is not None:
+            weights = np.maximum(_bell_weights(blocks), 0.0)  # no roundoff below 0
+            cumulative = np.cumsum(weights, axis=1) / weights.sum(axis=1, keepdims=True)
+            # the first element whose cumulative probability exceeds the draw
+            # is the count of the first three at or below it (they ascend)
+            chosen = sum(draws[:, step] >= bound[trials] for bound in cumulative[:, :3].T)
+            keys, trials = np.unique(4 * trials + chosen, return_inverse=True)
+        else:
+            keys = range(4 * len(rows))
+        branches = np.empty((len(keys),) + blocks[0].shape[1:], dtype=complex)
+        for branch, key in zip(branches, keys):
+            row, e = divmod(key, 4)  # PHI+/-: b0 +/- b3; PSI+/-: b1 +/- b2
+            combine = np.subtract if e % 2 else np.add
+            combine(blocks[e // 2][row], blocks[3 - e // 2][row], out=branch)
+        del blocks  # the last view of the previous rows: free them first
+        elements = [elements[key // 4] + (key % 4,) for key in keys]
+        rows, m = branches.reshape(len(keys), -1), m - 2
+        removed.extend(pair)
+    return rows, elements, trials
+
+
+def _collapse(state: StateVector, pairs, **mode) -> tuple[StateVector, tuple, float]:
+    """The one row of a forced or sampled walk, renormalized; its elements; its probability."""
+    (row,), (elements,), _ = _bell_walk(state.amplitudes, state.num_qubits, pairs, **mode)
+    prob = float(np.vdot(row, row).real) / 2 ** len(pairs)
+    if prob < IMPOSSIBLE_PROB:  # no state to renormalize
+        labels = ",".join(_BELL_ORDER[e].label for e in elements)
+        raise ImpossibleOutcomeError(f"outcome {labels} on {pairs} has probability {prob:.3e}")
+    row /= math.sqrt(prob * 2 ** len(pairs))
+    return StateVector._owned(row, state.num_qubits - 2 * len(pairs)), elements, prob
 
 
 def bell_project(
@@ -291,29 +349,14 @@ def bell_project(
     probability.  Raises ImpossibleOutcomeError when the probability is
     below IMPOSSIBLE_PROB, in which case there is no state to renormalize.
     """
-    blocks = _pair_blocks(state.amplitudes[None, :], state.num_qubits, pair)
-    residual = _bell_sum(blocks, element).reshape(-1)
-    prob = float(np.vdot(residual, residual).real) / 2
-    if prob < IMPOSSIBLE_PROB:
-        raise ImpossibleOutcomeError(
-            f"outcome {element.label} on pair {pair} has probability {prob:.3e}"
-        )
-    residual /= math.sqrt(2 * prob)
-    return StateVector._owned(residual, state.num_qubits - 2), prob
+    collapsed, _, prob = _collapse(state, [pair], outcome=[element])
+    return collapsed, prob
 
 
 def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> dict:
-    """Probabilities of all four Bell outcomes on a qubit pair (sums to 1).
-
-    The diagonal of B G B^T for B = _BELL_MATRIX and G the blocks' Gram
-    matrix; B is real, so Re G suffices: the Gram of their float views.
-    """
-    blocks = _pair_blocks(state.amplitudes[None, :], state.num_qubits, pair)
-    reals = [block[0].view(np.float64) for block in blocks]
-    gram = np.empty((4, 4))
-    for k, l in itertools.combinations_with_replacement(range(4), 2):
-        gram[k, l] = gram[l, k] = np.einsum("hml,hml->", reals[k], reals[l])
-    probs = np.einsum("ek,kl,el->e", _BELL_MATRIX, gram, _BELL_MATRIX)
+    """Probabilities of all four Bell outcomes on a qubit pair (sums to 1)."""
+    rows, _, _ = _bell_walk(state.amplitudes, state.num_qubits, [pair])
+    probs = (np.abs(rows) ** 2).sum(axis=1) / 2
     return dict(zip(BellElement, probs.tolist()))
 
 

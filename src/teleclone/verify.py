@@ -6,6 +6,7 @@ functions over its instances and records the worst case under a check name, so a
 regression points at the broken property; the acceptance tests call the same functions.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,8 @@ TRACE_TOL = 1e-10
 ORACLE_TOL = 1e-8
 #: ebit counts read off an entanglement entropy
 EBIT_TOL = 1e-6
+#: chance that a correct sampler fails the sampled-frequency check
+SAMPLED_FAMILY_RATE = 1e-6
 
 _P_VALUES = (0.0, 0.3, 0.5, 1.0)
 _LOCAL_OPS = (qs.PAULI_X, qs.PAULI_Y, qs.PAULI_Z, qs.IDENTITY)
@@ -131,7 +134,7 @@ def _group_qstate(seed: int) -> GroupResult:
                              state(2))
         for _ in range(20)
     ]
-    pairs = [(state(4), tuple(rng.choice(4, size=2, replace=False))) for _ in range(10)]
+    pairs = [(state(4), tuple(rng.permutation(4)[:2].tolist())) for _ in range(10)]
     traces = [partial_trace_deviation(mixed_state(5, 4)) for _ in range(5)]
     entropies = [entropy_in_bounds(mixed_state(6, 3)) for _ in range(10)]
     uhlmann = [uhlmann_deviation(state(2), mixed_state(4, 2)) for _ in range(10)]
@@ -245,15 +248,28 @@ def outcome_probability_deviation(psi, params: CloneParams, expected: float) -> 
 
 
 def sampled_frequency_check(psi, params: CloneParams, samples: int, seed: int) -> CheckResult:
-    """Seeded outcome counts: they sum to `samples`, each within 3 sigma of 4^-n."""
-    share = 0.25**params.n
+    """Seeded outcome counts of sampled measure_senders draws against 4^-n.
+
+    The counts must sum to `samples`, and every one of the 4^n counts must
+    lie within z sigma of samples * 4^-n, with z the two-sided Sidak bound
+    for 4^n counts at family-wise rate SAMPLED_FAMILY_RATE: a correct
+    sampler fails the check with at most that probability (in the normal
+    approximation), whatever n is.
+    """
+    # imported here: statistics loads decimal and fractions, 0.3 MB for every command
+    from statistics import NormalDist
+
+    outcomes, share = 4**params.n, 0.25**params.n
+    per_count = -math.expm1(math.log1p(-SAMPLED_FAMILY_RATE) * share)  # 1 - (1 - rate)^share
+    z = NormalDist().inv_cdf(1 - per_count / 2)
     counts = pt.sample_outcomes(psi, params, samples, seed)
-    sigma = (samples * share * (1 - share)) ** 0.5
+    bound = z * (samples * share * (1 - share)) ** 0.5
     worst = max(abs(c - samples * share) for c in counts.values())
     return CheckResult(
-        "sampled-frequencies-3sigma",
-        sum(counts.values()) == samples and worst <= 3 * sigma,
-        f"worst count deviation {worst:.0f} vs 3 sigma {3 * sigma:.0f}",
+        "sampled-frequencies-sidak",
+        sum(counts.values()) == samples and worst <= bound,
+        f"worst count deviation {worst:.0f} vs bound {bound:.0f} "
+        f"({z:.2f} sigma, {outcomes} counts, family-wise rate {SAMPLED_FAMILY_RATE:.0e})",
     )
 
 

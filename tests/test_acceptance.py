@@ -150,7 +150,7 @@ def test_criterion_8_mixed_state_suite():
 def test_criterion_9_uniform_outcomes():
     with criterion(
         "criterion 9: exact outcome probabilities 4^-n +- 1e-9 for n=2..4; 1e5 seeded "
-        "samples within 3 sigma of 1/16"
+        "measure_senders draws within the Sidak bound of 1/16 (family-wise rate 1e-6)"
     ):
         rng = np.random.default_rng(109)
         for n in (2, 3, 4):

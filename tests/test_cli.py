@@ -629,6 +629,59 @@ class TestNegativeNumberValues:
         assert err == "error: p outside [0, 1]\n"
 
 
+class TestNegativeAmplitudeLists:
+    """`--input -0.5,...` is the same value as `--input=-0.5,...`."""
+
+    @pytest.mark.parametrize(
+        "amplitudes, code",
+        [
+            ("-0.5,0.5,0.5,0.5", 0),
+            ("-0.5j,0.5,-0.5,0.5j", 0),
+            ("-0.5+0j, 0.5, 0.5, 0.5", 0),
+            ("-3.5355339059327e-1-0.35355339059327j,0.5,0.5,0.5", 0),
+            ("-1E-0,0,0,0", 0),
+            ("-inf,0,0,0", 2),
+            ("-0.5,0.5", 2),
+            ("-1,1,1,1", 2),
+        ],
+    )
+    def test_space_form_equals_equals_form(self, amplitudes, code):
+        argv = ["run", "--n", "2", "--outcome", "PHI+,PHI+"]
+        spaced = call_main([*argv, "--input", amplitudes])
+        assert spaced == call_main([*argv, f"--input={amplitudes}"])
+        assert spaced[0] == code, spaced[2]
+        assert "expected one argument" not in spaced[2]
+
+
+class TestNegativeSeed:
+    """A negative --seed exits 2 before any work, for every command that takes one."""
+
+    ARGVS = [
+        ["run", "--input", "ghz"],
+        ["run", "--input", "ghz", "--outcome", "PHI+,PHI+"],
+        ["run", "--input", "random"],
+        ["mixed"],
+        ["verify"],
+        *(["verify", "--group", group] for group in teleclone.verify.GROUPS),
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    @pytest.mark.parametrize("seed", ["-1", "-18446744073709551616"])
+    def test_refused_before_any_work(self, tmp_path, monkeypatch, argv, seed):
+        calls = []
+
+        def record(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        monkeypatch.setattr(cli, "CloneParams", record("CloneParams"))
+        monkeypatch.setattr(teleclone.verify, "run_verification", record("run_verification"))
+        out = tmp_path / "out"
+        code, stdout, err = call_main([*argv, "--seed", seed, "--output", str(out)])
+        assert (code, stdout, calls) == (2, "", [])
+        assert err == f"error: --seed must be nonnegative, got {seed}\n"
+        assert not out.exists()
+
+
 class TestRunArguments:
     """Bad --input, --outcome and preset values exit 2 and write no transcript."""
 

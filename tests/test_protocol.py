@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ class TestMeasureSenders:
         total = attach_input(random_input(2, 37), build_channel(params))
         with pytest.raises(ValueError):
             measure_senders(total, params)
+
+    def test_impossible_forced_outcome_raises(self):
+        # two Bell pairs: PHI+ on the first, PSI- on the second has joint
+        # probability 0, so there is no state to renormalize
+        bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), 2)
+        pairs = qstate.tensor(bell, bell)
+        with pytest.raises(qstate.ImpossibleOutcomeError, match="PHI\\+,PSI-"):
+            project_pairs(pairs, [(0, 1), (2, 3)], outcome=BellOutcome.parse("PHI+,PSI-"))
+        _, _, prob = project_pairs(pairs, [(0, 1), (2, 3)], outcome=BellOutcome.all_phi_plus(2))
+        assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_measurement_order_invariance(self):
         params = CloneParams(p=0.5, n=2)
@@ -443,6 +454,39 @@ class TestSampling:
         expected = draws / 16
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 <= 37.70
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_counts_are_those_of_sequential_measure_senders_draws(self, n, seed):
+        # sample_outcomes is 256 measure_senders draws sharing one generator,
+        # taken in one walk: the counts agree exactly
+        params = CloneParams(p=0.3, n=n)
+        psi = random_input(n, 110 + n)
+        total = attach_input(psi, build_channel(params))
+        rng = np.random.default_rng(seed)
+        expected = dict.fromkeys(BellOutcome.all_outcomes(n), 0)
+        for _ in range(256):
+            outcome, _, _ = measure_senders(total, params, rng=rng)
+            expected[outcome] += 1
+        assert sample_outcomes(psi, params, 256, seed) == expected
+
+    def test_sampled_step_forms_only_its_branch(self):
+        # at n=4 (a 16 MiB state) a sampled measurement may not form the
+        # other three branches of a pair: its peak stays that of a forced one
+        params = CloneParams(p=0.5, n=4)
+        total = attach_input(random_input(4, 120), build_channel(params))
+
+        def peak(**mode):
+            tracemalloc.start()
+            try:
+                measure_senders(total, params, **mode)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        forced = peak(outcome=BellOutcome.parse("PSI-,PHI-,PSI+,PHI+"))
+        sampled = peak(rng=np.random.default_rng(4))
+        assert sampled <= forced + 2**20
 
     def test_counts_total_and_determinism(self):
         params = CloneParams(p=0.5, n=2)
