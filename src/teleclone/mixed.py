@@ -24,10 +24,6 @@ from .qstate import (
 )
 
 
-class MonotonicityError(AssertionError):
-    """Tracing the purified clone down lowered its fidelity: an invariant failed."""
-
-
 @dataclass(frozen=True)
 class MixedInput:
     """Computational-basis eigenvalues of an n-qubit mixed state."""
@@ -177,22 +173,6 @@ def trace_fidelities(
     f_pure = state_fidelity(purify(mixed), rho_bb)
     rho_b = partial_trace(rho_bb, range(mixed.n))
     f_mixed = uhlmann_fidelity(mixed.density(), rho_b)
-    return f_mixed, f_pure
-
-
-def monotonicity_check(
-    mixed: MixedInput,
-    params: CloneParams,
-    *,
-    outcome: BellOutcome | None = None,
-    seed: int | None = None,
-) -> tuple[float, float]:
-    """trace_fidelities, raising MonotonicityError if F_mixed < F_pure - 1e-9."""
-    f_mixed, f_pure = trace_fidelities(mixed, params, outcome=outcome, seed=seed)
-    if f_mixed < f_pure - 1e-9:
-        raise MonotonicityError(
-            f"tracing decreased fidelity: F_mixed={f_mixed} < F_pure={f_pure}"
-        )
     return f_mixed, f_pure
 
 

@@ -5,6 +5,10 @@ their qubit pairs, broadcast 2n classical bits, and the receivers apply
 local Pauli triples to land on the target superposition of cloning-machine
 states — for every one of the 4^n (uniformly likely) outcomes.
 
+After the senders' Bell walk, run (one row) and evaluate_outcomes (all
+4^n) share one input check, one fold of a correction plan into a Pauli
+frame, and one readout of probability, target overlap, F_B and F_C.
+
 Register layouts (big-endian blocks of n qubits each):
   channel      (A', B, C, anc)           4n qubits
   total state  (A, A', B, C, anc)        5n qubits, pairs (A_i, A'_i)
@@ -28,8 +32,6 @@ from .qstate import (
     _check_register_size,
     _collapse,
     entanglement_entropy,
-    reduced_density,
-    state_fidelity,
     tensor,
 )
 
@@ -124,6 +126,15 @@ def attach_input(psi: StateVector, channel: ChannelState) -> StateVector:
     return tensor(psi, channel.state)
 
 
+def _walk_mode(num_pairs: int, outcome: BellOutcome | None, rng) -> dict:
+    """The _bell_walk keyword of a forced `outcome` or of one draw per pair from `rng`."""
+    if (outcome is None) == (rng is None):
+        raise ValueError("pass exactly one of outcome= (forced) or rng= (sampled)")
+    if outcome is not None and outcome.num_pairs != num_pairs:
+        raise ValueError("outcome length does not match the number of pairs")
+    return {"outcome": outcome.elements} if rng is None else {"draws": rng.random((1, num_pairs))}
+
+
 def project_pairs(
     state: StateVector,
     pairs,
@@ -142,12 +153,7 @@ def project_pairs(
     and the joint probability.
     """
     pairs = list(pairs)
-    if (outcome is None) == (rng is None):
-        raise ValueError("pass exactly one of outcome= (forced) or rng= (sampled)")
-    if outcome is not None and outcome.num_pairs != len(pairs):
-        raise ValueError("outcome length does not match the number of pairs")
-    mode = {"outcome": outcome.elements} if rng is None else {"draws": rng.random((1, len(pairs)))}
-    collapsed, elements, prob = _collapse(state, pairs, **mode)
+    collapsed, elements, prob = _collapse(state, pairs, **_walk_mode(len(pairs), outcome, rng))
     return BellOutcome(tuple(_BELL_ORDER[e] for e in elements)), collapsed, prob
 
 
@@ -184,40 +190,53 @@ def correction_plan(outcome: BellOutcome) -> tuple:
     return tuple(plan)
 
 
-def apply_corrections(state: StateVector, plan, offset: int = 0) -> StateVector:
-    """Apply a correction plan; `offset` shifts targets past spectator qubits.
+def _fold(plan, num_qubits: int, offset: int = 0) -> tuple[int, int, int]:
+    """Fold a correction plan, in order, into its Pauli frame (xmask, zmask, sign).
 
-    The plan is folded, in order, into a Pauli frame: the product of its
-    operators equals sign * prod_q Z_q^z[q] X_q^x[q], with X applied first.
-    An X on a qubit that already carries a Z anticommutes past it, so the
-    sign flips then (Z X = -X Z).  The frame acts as one copy of the tensor
-    view with the flipped axes reversed (X: index XOR), then a negation of
-    the |1> slice of each Z qubit, then the sign: exactly what the plan's
-    one-qubit Paulis, applied in turn, give.
+    The product of the plan's operators equals sign * prod_q Z_q^z[q] X_q^x[q]
+    (X applied first), with bit q of a mask at 1 << (num_qubits - 1 - q).  An
+    X on a qubit that already carries a Z anticommutes past it, so the sign
+    flips then (Z X = -X Z).  `offset` shifts targets past spectator qubits.
     """
-    m = state.num_qubits
-    flips, phases, negate = [False] * m, [False] * m, False
+    xmask, zmask, sign = 0, 0, 1
     for correction in plan:
         if correction.op not in ("x", "z"):
             raise ValueError(f"unknown correction op {correction.op!r}")
-        for position in correction.targets:
-            q = offset + position
-            _check_position(q, m)
+        for q in (offset + position for position in correction.targets):
+            _check_position(q, num_qubits)
+            bit = 1 << (num_qubits - 1 - q)
             if correction.op == "x":
-                flips[q] = not flips[q]
-                negate ^= phases[q]
+                xmask ^= bit
+                sign = -sign if zmask & bit else sign
             else:
-                phases[q] = not phases[q]
-    if not (negate or any(flips) or any(phases)):
-        return state
-    out = state._tensor_view()[tuple(slice(None, None, -1 if f else 1) for f in flips)].copy()
-    for q in range(m):
-        if phases[q]:
-            ones = out[(slice(None),) * q + (1,)]
-            np.negative(ones, out=ones)
-    if negate:
-        np.negative(out, out=out)
-    return StateVector._owned(out.reshape(-1), m)
+                zmask ^= bit
+    return xmask, zmask, sign
+
+
+def _frame(folds, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) arrays of shape (len(folds), 2^num_qubits), one row per fold.
+
+    A row's frame takes a state to sign[i] * state[index[i]] at every i:
+    index = i ^ xmask and sign = sign * (-1)^popcount(i & zmask).
+    """
+    xmask, zmask, sign = np.array(folds, dtype=np.intp).T
+    positions = np.arange(1 << num_qubits, dtype=np.intp)
+    index = positions ^ xmask[:, None]
+    parity = positions & zmask[:, None]
+    for shift in (16, 8, 4, 2, 1):  # XOR-fold: bit 0 ends as the parity of all 32 low bits
+        parity ^= parity >> shift
+    return index, (1.0 - 2.0 * (parity & 1)) * sign[:, None]
+
+
+def apply_corrections(state: StateVector, plan, offset: int = 0) -> StateVector:
+    """Apply a correction plan; `offset` shifts targets past spectator qubits.
+
+    The plan's Pauli frame (_fold) acts as one gather and one sign: exactly
+    what the plan's one-qubit Paulis, applied in turn, give.
+    """
+    m = state.num_qubits
+    index, sign = _frame([_fold(plan, m, offset)], m)
+    return StateVector._owned(state.amplitudes[index[0]] * sign[0], m)
 
 
 @dataclass(frozen=True)
@@ -248,6 +267,43 @@ class ProtocolTranscript:
         }
 
 
+def _checked_input(psi: StateVector, n: int) -> StateVector:
+    """The normalized input, checked before the 5n-qubit attached state is allocated."""
+    if psi.num_qubits != n:
+        raise ValueError(f"input register size does not match n={n}")
+    _check_register_size(5 * n)
+    if not abs(psi.norm - 1.0) <= 1e-6:  # NaN fails it too
+        raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
+    return psi.normalized()
+
+
+def _sender_walk(psi: StateVector, channel: ChannelState, **mode) -> tuple:
+    """_bell_walk over the sender pairs (A_i, A'_i) of attach_input(psi, channel)."""
+    total, n = attach_input(psi, channel), channel.params.n
+    pairs = [(i, n + i) for i in range(n)]
+    return _bell_walk(total.amplitudes, total.num_qubits, pairs, **mode)
+
+
+def _readout(psi: StateVector, params: CloneParams, rows: np.ndarray, frame) -> tuple:
+    """Probability, corrected final state, target overlap, F_B and F_C of walk rows.
+
+    Each sender-walk row is corrected by its `frame` row (_frame) and
+    normalized; F_B (F_C) is the squared norm of conj(psi) contracted into
+    the B (C) axis of the (B, C, anc) final state.
+    """
+    n, d = params.n, params.d
+    index, sign = frame
+    probs = (np.abs(rows) ** 2).sum(axis=1) / 2**n
+    final = np.take_along_axis(rows, index, axis=1)
+    final *= sign / np.sqrt(probs * 2**n)[:, None]  # the frame's signs, rows normalized
+    target = target_state(psi.amplitudes, params).amplitudes
+    overlap = np.abs(final @ target.conj()) ** 2
+    bra = psi.amplitudes.conj()
+    fidelity_b = (np.abs(bra @ final.reshape(-1, d, d * d)) ** 2).sum(axis=1)  # (row, B, C*anc)
+    fidelity_c = (np.abs(bra @ final.reshape(-1, d, d, d)) ** 2).sum(axis=(1, 2))  # (row, B, C, anc)
+    return probs, final, overlap, fidelity_b, fidelity_c
+
+
 def run(
     psi: StateVector,
     params: CloneParams,
@@ -260,49 +316,32 @@ def run(
 
     Pass either a forced `outcome` (deterministic, for tests) or an
     explicit `seed` for sampled mode.  A prebuilt `channel` may be reused
-    across runs with the same params.
+    across runs with the same params.  The measured row goes through the
+    same readout as every row of evaluate_outcomes.
     """
-    if psi.num_qubits != params.n:
-        raise ValueError("input register size does not match params.n")
-    _check_register_size(5 * params.n)  # the attached state, before any allocation
-    if not abs(psi.norm - 1.0) <= 1e-6:  # NaN fails it too
-        raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
-    psi = psi.normalized()
+    psi = _checked_input(psi, params.n)
+    rng = np.random.default_rng(seed) if seed is not None else None
+    mode = _walk_mode(params.n, outcome, rng)  # checked before the channel is built
     if channel is None:
         channel = build_channel(params)
     elif channel.params != params:
         raise ValueError("channel was built for different params")
-    total = attach_input(psi, channel)
-    rng = np.random.default_rng(seed) if seed is not None else None
-    measured, collapsed, probability = measure_senders(
-        total, params, outcome=outcome, rng=rng
-    )
+    rows, (elements,), _ = _sender_walk(psi, channel, **mode)
+    measured = BellOutcome(tuple(_BELL_ORDER[e] for e in elements))
     plan = correction_plan(measured)
-    final = apply_corrections(collapsed, plan)
-    n = params.n
-    rho_b = reduced_density(final, range(n))
-    rho_c = reduced_density(final, range(n, 2 * n))
-    fidelity_b = state_fidelity(psi, rho_b)
-    fidelity_c = state_fidelity(psi, rho_c)
-    overlap = target_state(psi.amplitudes, params).fidelity_with(final)
+    frame = _frame([_fold(plan, 3 * params.n)], 3 * params.n)
+    probs, final, overlap, fidelity_b, fidelity_c = _readout(psi, params, rows, frame)
     return ProtocolTranscript(
         params=params,
         outcome=measured,
-        probability=probability,
+        probability=float(probs[0]),
         classical_bits=measured.classical_bits(),
         corrections=plan,
-        final_state=final,
-        fidelity_b=fidelity_b,
-        fidelity_c=fidelity_c,
-        target_overlap=overlap,
+        final_state=StateVector._owned(final[0], 3 * params.n),
+        fidelity_b=float(fidelity_b[0]),
+        fidelity_c=float(fidelity_c[0]),
+        target_overlap=float(overlap[0]),
     )
-
-
-def _sender_walk(psi: StateVector, channel: ChannelState, draws=None) -> tuple:
-    """_bell_walk over the sender pairs (A_i, A'_i) of attach_input(psi, channel)."""
-    total, n = attach_input(psi, channel), channel.params.n
-    pairs = [(i, n + i) for i in range(n)]
-    return _bell_walk(total.amplitudes, total.num_qubits, pairs, draws=draws)
 
 
 def outcome_probabilities(psi: StateVector, params: CloneParams) -> dict:
@@ -320,33 +359,9 @@ def outcome_probabilities(psi: StateVector, params: CloneParams) -> dict:
 
 @functools.cache
 def _pauli_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) of every outcome's corrections on the (B, C, anc) register.
-
-    Row k belongs to the k-th outcome of BellOutcome.all_outcomes: its
-    correction plan applies X on the qubits of xmask, then Z on those of
-    zmask (correction_plan lists every X before any Z), so the corrected
-    amplitude at i is (-1)^popcount(i & zmask) * residual[i ^ xmask].
-    Both (4^n, 8^n) arrays are read-only.
-    """
-    m = 3 * n
-    masks = []
-    for outcome in BellOutcome.all_outcomes(n):
-        xmask = zmask = 0
-        for correction in correction_plan(outcome):
-            bits = sum(1 << (m - 1 - t) for t in correction.targets)
-            if correction.op == "x":
-                xmask ^= bits
-            else:
-                zmask ^= bits
-        masks.append((xmask, zmask))
-    xmask, zmask = np.array(masks, dtype=np.intp).T
-    positions = np.arange(1 << m, dtype=np.intp)
-    index = positions ^ xmask[:, None]
-    phased = positions & zmask[:, None]
-    parity = np.zeros_like(phased)
-    for bit in range(m):  # popcount parity; np.bitwise_count would need numpy >= 2
-        parity ^= (phased >> bit) & 1
-    sign = 1.0 - 2.0 * parity
+    """The read-only _frame of every outcome's plan, (4^n, 8^n), in all_outcomes order."""
+    folds = [_fold(correction_plan(o), 3 * n) for o in BellOutcome.all_outcomes(n)]
+    index, sign = _frame(folds, 3 * n)
     index.flags.writeable = sign.flags.writeable = False
     return index, sign
 
@@ -359,32 +374,14 @@ def evaluate_outcomes(
     Returns four arrays in BellOutcome.all_outcomes order: the outcome's
     probability, the corrected state's overlap |<target|final>|^2 with
     target_state, and the clone fidelities F_B and F_C, each what
-    run(psi, channel.params, outcome=..., channel=channel) reports.  The
-    residual rows are normalized, every outcome's Pauli frame is one
-    gather and one sign, the overlaps are one matrix-vector product, and
-    F_B (F_C) is the squared norm of conj(psi) contracted into the B (C)
-    axis of the (4^n, d, d, d) final states.  The input is checked as in
-    run, before anything is allocated.
+    run(psi, channel.params, outcome=..., channel=channel) reports, from
+    the same input check and readout.
     """
-    params = channel.params
-    n, d = params.n, params.d
-    if psi.num_qubits != n:
-        raise ValueError("input register size does not match the channel's n")
-    _check_register_size(5 * n)  # the attached state, before any allocation
-    if not abs(psi.norm - 1.0) <= 1e-6:  # NaN fails it too
-        raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
-    psi = psi.normalized()
+    psi = _checked_input(psi, channel.params.n)
     rows, _, _ = _sender_walk(psi, channel)
-    probs = (np.abs(rows) ** 2).sum(axis=1) / 2**n
-    index, sign = _pauli_frame(n)
-    final = np.take_along_axis(rows, index, axis=1)
-    final *= sign / np.sqrt(probs * 2**n)[:, None]  # the frame's signs, rows normalized
-    target = target_state(psi.amplitudes, params).amplitudes
-    overlap = np.abs(final @ target.conj()) ** 2
-    final = final.reshape(-1, d, d, d)  # (outcome, B, C, anc)
-    bra = psi.amplitudes.conj()
-    fidelity_b = (np.abs(np.tensordot(final, bra, axes=(1, 0))) ** 2).sum(axis=(1, 2))
-    fidelity_c = (np.abs(np.tensordot(final, bra, axes=(2, 0))) ** 2).sum(axis=(1, 2))
+    probs, _, overlap, fidelity_b, fidelity_c = _readout(
+        psi, channel.params, rows, _pauli_frame(channel.params.n)
+    )
     return probs, overlap, fidelity_b, fidelity_c
 
 
@@ -392,9 +389,12 @@ def sample_outcomes(
     psi: StateVector, params: CloneParams, num_samples: int, seed: int
 ) -> dict:
     """Counts of num_samples consecutive measure_senders draws from one default_rng(seed)."""
+    if num_samples < 0:
+        raise ValueError(f"num_samples must be nonnegative, got {num_samples}")
     draws = np.random.default_rng(seed).random((num_samples, params.n))
-    _, elements, trials = _sender_walk(psi, build_channel(params), draws)
-    index = np.array(elements) @ 4 ** np.arange(params.n - 1, -1, -1)  # BellOutcome.index
+    _, elements, trials = _sender_walk(psi, build_channel(params), draws=draws)
+    digits = np.array(elements, dtype=np.intp).reshape(-1, params.n)  # (0, n) for no draws
+    index = digits @ 4 ** np.arange(params.n - 1, -1, -1)  # BellOutcome.index
     counts = np.bincount(index[trials], minlength=4**params.n)
     return dict(zip(BellOutcome.all_outcomes(params.n), counts.tolist()))
 

@@ -323,7 +323,7 @@ def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=
             combine(blocks[e // 2][row], blocks[3 - e // 2][row], out=branch)
         del blocks  # the last view of the previous rows: free them first
         elements = [elements[key // 4] + (key % 4,) for key in keys]
-        rows, m = branches.reshape(len(keys), -1), m - 2
+        rows, m = branches.reshape(len(keys), 1 << (m - 2)), m - 2  # no -1: keys may be empty
         removed.extend(pair)
     return rows, elements, trials
 

@@ -433,8 +433,7 @@ def fidelity_in_bounds(value: float, lower: float, upper: float) -> bool:
 def trace_monotone(mixed: mx.MixedInput, params: CloneParams) -> bool:
     """Tracing the purified clone down to the mixed one never lowers fidelity.
 
-    A violation is a False here, so it fails its check in the report, rather
-    than the MonotonicityError that mixed.monotonicity_check raises.
+    A violation is a False here, so it fails its check in the report.
     """
     f_mixed, f_pure = mx.trace_fidelities(mixed, params)
     return f_mixed >= f_pure - EXACT_TOL

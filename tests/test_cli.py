@@ -348,14 +348,6 @@ class TestVerifyCommand:
         assert report["passed"] is True
         assert report["groups"][0]["name"] == "transformations"
 
-    def test_monotonicity_error_exit_1(self, monkeypatch, capsys):
-        def violated(groups, seed):
-            raise teleclone.MonotonicityError("tracing decreased fidelity")
-
-        monkeypatch.setattr(teleclone.verify, "run_verification", violated)
-        assert main(["verify", "--group", "mixed"]) == 1
-        assert "tracing decreased fidelity" in capsys.readouterr().err
-
     def test_unknown_group_exit_2(self, capsys):
         code = main(["verify", "--group", "bogus"])
         assert code == 2

@@ -334,6 +334,14 @@ class TestRun:
         with pytest.raises(ValueError, match="register size 25 is outside the 20-qubit limit"):
             run(random_input(5, 46), CloneParams(p=0.5, n=5), outcome=BellOutcome.all_phi_plus(5))
 
+    def test_outcome_length_checked_before_the_channel(self, monkeypatch):
+        def no_channel(params):
+            raise AssertionError("build_channel called for a malformed outcome")
+
+        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        with pytest.raises(ValueError, match="outcome length does not match"):
+            run(random_input(2, 49), CloneParams(p=0.5, n=2), outcome=BellOutcome.parse("PHI+"))
+
     def test_requires_normalized_input(self):
         params = CloneParams(p=0.5, n=2)
         bad = StateVector(np.array([1.0, 0, 0, 1.0], dtype=complex), 2)
@@ -378,6 +386,32 @@ class TestEvaluateOutcomes:
                 assert abs(column[k] - value) <= 1e-12, (outcome, column[k], value)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", [0.0, 0.35, 1.0])
+    def test_every_outcome_matches_an_oracle_of_public_primitives(self, n, p):
+        # run and the batch share one readout, so check the batch against a
+        # route through neither: forced measure_senders, one Pauli at a time,
+        # reduced_density with state_fidelity, and target_state's overlap
+        params = CloneParams(p=p, n=n)
+        channel = build_channel(params)
+        psi = random_input(n, 90 + n)
+        total = attach_input(psi, channel)
+        target = target_state(psi.amplitudes, params)
+        columns = evaluate_outcomes(psi, channel)
+        for k, outcome in enumerate(BellOutcome.all_outcomes(n)):
+            _, collapsed, prob = measure_senders(total, params, outcome=outcome)
+            final = sequential_corrections(collapsed, correction_plan(outcome))
+            rho_b = qstate.reduced_density(final, range(n))
+            rho_c = qstate.reduced_density(final, range(n, 2 * n))
+            expected = (
+                prob,
+                target.fidelity_with(final),
+                qstate.state_fidelity(psi, rho_b),
+                qstate.state_fidelity(psi, rho_c),
+            )
+            for column, value in zip(columns, expected):
+                assert abs(column[k] - value) <= 1e-12, (outcome, column[k], value)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_probabilities_are_outcome_probabilities(self, n):
         params = CloneParams(p=0.3, n=n)
         psi = random_input(n, 70 + n)
@@ -399,6 +433,12 @@ class TestEvaluateOutcomes:
             index[0, 0] = 1
         with pytest.raises(ValueError):
             sign[0, 0] = -1.0
+
+    def test_run_builds_only_its_own_frame(self):
+        # the batch frame is 4^n rows (16 MiB at n=4); a single run needs one
+        protocol._pauli_frame.cache_clear()
+        run(random_input(2, 82), CloneParams(p=0.5, n=2), outcome=BellOutcome.parse("PSI-,PHI-"))
+        assert protocol._pauli_frame.cache_info().currsize == 0
 
     def test_oversize_register_refused_before_allocation(self, monkeypatch):
         def no_attach(psi, channel):
@@ -487,6 +527,15 @@ class TestSampling:
         forced = peak(outcome=BellOutcome.parse("PSI-,PHI-,PSI+,PHI+"))
         sampled = peak(rng=np.random.default_rng(4))
         assert sampled <= forced + 2**20
+
+    def test_no_draws_give_all_zero_counts(self):
+        counts = sample_outcomes(random_input(2, 121), CloneParams(p=0.5, n=2), 0, seed=7)
+        assert list(counts) == list(BellOutcome.all_outcomes(2))
+        assert set(counts.values()) == {0}
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="num_samples must be nonnegative, got -1"):
+            sample_outcomes(random_input(2, 122), CloneParams(p=0.5, n=2), -1, seed=7)
 
     def test_counts_total_and_determinism(self):
         params = CloneParams(p=0.5, n=2)
