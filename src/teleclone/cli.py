@@ -96,10 +96,7 @@ def cmd_run(args) -> int:
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     psi = _parse_input(args.input, args.n, rng)
     if args.outcome is not None:
-        outcome = pt.BellOutcome.parse(args.outcome)
-        if outcome.num_pairs != args.n:
-            raise ValueError(f"outcome must list {args.n} Bell elements")
-        transcript = pt.run(psi, params, outcome=outcome)
+        transcript = pt.run(psi, params, outcome=pt.BellOutcome.parse(args.outcome))
     else:
         if args.seed is None:
             raise ValueError("sampled mode requires an explicit --seed")
@@ -154,10 +151,7 @@ def cmd_sweep_delta(args) -> int:
             ps = np.array([args.p])
         else:
             ps = ent.SweepGrid(p_step=args.p_step).p_values()
-        values = ent.delta(args.mu, ps)  # validates mu and p first
-        f_b, f_c = fidelity_curve(ps, 4)
-        c_b = ent.clone_concurrence(args.mu, f_b)
-        c_c = ent.clone_concurrence(args.mu, f_c)
+        f_b, f_c, c_b, c_c, _, _, values = ent._gap(args.mu, ps)
         body = _delta_rows(
             np.array([args.mu]), ps, f_b, f_c, c_b[None], c_c[None], values[None]
         )

@@ -3,7 +3,8 @@
 Closed forms for the input entanglement H(2*mu), the clone concurrences,
 and the budget gap delta = input EoF minus the two clones' EoF, plus a
 dense numerical sweep certifying that the gap never goes negative — the
-protocol cannot create entanglement.
+protocol cannot create entanglement.  `_gap` alone forms F -> C -> EoF
+-> delta, checking mu and p once, for `delta`, `sweep_delta` and the CLI.
 """
 
 import math
@@ -50,6 +51,11 @@ def _binary_entropy(lam: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eof(x: np.ndarray) -> np.ndarray:
+    """eof_from_concurrence without the range check; clamps x to [0, 1]."""
+    return _binary_entropy((1.0 + np.sqrt(1.0 - np.clip(x, 0.0, 1.0) ** 2)) / 2.0)
+
+
 def eof_from_concurrence(x) -> float:
     """Entanglement of formation (ebits) of a two-qubit state of concurrence x.
 
@@ -60,14 +66,22 @@ def eof_from_concurrence(x) -> float:
     arr, scalar = _as_float_array(x)
     if not np.all((-1e-12 <= arr) & (arr <= 1.0 + 1e-12)):
         raise ValueError("concurrence outside [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
-    lam = (1.0 + np.sqrt(1.0 - arr**2)) / 2.0
-    return _maybe_scalar(_binary_entropy(lam), scalar)
+    return _maybe_scalar(_eof(arr), scalar)
 
 
 def input_entanglement(alphas) -> float:
     """EoF of the pure two-qubit input: eof_from_concurrence(2*mu)."""
     return eof_from_concurrence(min(2.0 * mu(alphas), 1.0))
+
+
+def _check_mu(mu_arr: np.ndarray) -> None:
+    if not np.all((-1e-12 <= mu_arr) & (mu_arr <= 0.5 + 1e-12)):
+        raise ValueError("mu outside [0, 1/2]")
+
+
+def _concurrence(mu_arr: np.ndarray, f_arr: np.ndarray) -> np.ndarray:
+    """clone_concurrence without the range checks."""
+    return np.maximum(0.0, (8.0 * f_arr / 3.0 - 2.0 / 3.0) * mu_arr - 2.0 / 3.0 * (1.0 - f_arr))
 
 
 def clone_concurrence(mu_value, fidelity) -> float:
@@ -78,12 +92,10 @@ def clone_concurrence(mu_value, fidelity) -> float:
     """
     mu_arr, mu_scalar = _as_float_array(mu_value)
     f_arr, f_scalar = _as_float_array(fidelity)
-    if not np.all((-1e-12 <= mu_arr) & (mu_arr <= 0.5 + 1e-12)):
-        raise ValueError("mu outside [0, 1/2]")
+    _check_mu(mu_arr)
     if not np.all((-1e-12 <= f_arr) & (f_arr <= 1.0 + 1e-12)):
         raise ValueError("fidelity outside [0, 1]")
-    value = (8.0 * f_arr / 3.0 - 2.0 / 3.0) * mu_arr - 2.0 / 3.0 * (1.0 - f_arr)
-    return _maybe_scalar(np.maximum(0.0, value), mu_scalar and f_scalar)
+    return _maybe_scalar(_concurrence(mu_arr, f_arr), mu_scalar and f_scalar)
 
 
 def wootters_concurrence(rho) -> float:
@@ -112,8 +124,23 @@ def wootters_concurrence(rho) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def _fidelities_d4(p):
-    return fidelity_curve(p, 4)
+def _gap(mu_value, p) -> tuple:
+    """(F_B, F_C, C_B, C_C, EoF_B, EoF_C, delta) of two-qubit clones.
+
+    The one evaluation of F -> C -> EoF -> delta.  p, then mu, is checked
+    against its band (1e-12 either side) once; p is clamped to [0, 1], so
+    F_B and F_C have p's shape, and the rest broadcasts over mu and p.
+    """
+    mu_arr = np.asarray(mu_value, dtype=float)
+    p_arr = np.asarray(p, dtype=float)
+    if not np.all((-1e-12 <= p_arr) & (p_arr <= 1.0 + 1e-12)):
+        raise ValueError("p outside [0, 1]")
+    _check_mu(mu_arr)
+    f_b, f_c = fidelity_curve(np.clip(p_arr, 0.0, 1.0), 4)
+    c_b, c_c = _concurrence(mu_arr, f_b), _concurrence(mu_arr, f_c)
+    eof_b, eof_c = _eof(c_b), _eof(c_c)
+    value = _eof(np.minimum(2.0 * mu_arr, 1.0)) - eof_b - eof_c
+    return f_b, f_c, c_b, c_c, eof_b, eof_c, value
 
 
 def delta(mu_value, p) -> float:
@@ -122,19 +149,8 @@ def delta(mu_value, p) -> float:
     delta = H(2 mu) - H(C_B(mu, p)) - H(C_C(mu, p)); nonnegative
     everywhere on [0, 1/2] x [0, 1].  Vectorized over mu and/or p.
     """
-    mu_arr, mu_scalar = _as_float_array(mu_value)
-    p_arr, p_scalar = _as_float_array(p)
-    if not np.all((-1e-12 <= p_arr) & (p_arr <= 1.0 + 1e-12)):
-        raise ValueError("p outside [0, 1]")
-    f_b, f_c = _fidelities_d4(np.clip(p_arr, 0.0, 1.0))
-    c_b = clone_concurrence(mu_arr, f_b)  # validates mu before it is scaled
-    c_c = clone_concurrence(mu_arr, f_c)
-    value = (
-        eof_from_concurrence(np.minimum(2.0 * mu_arr, 1.0))
-        - eof_from_concurrence(c_b)
-        - eof_from_concurrence(c_c)
-    )
-    return _maybe_scalar(np.asarray(value), mu_scalar and p_scalar)
+    *_, value = _gap(mu_value, p)
+    return _maybe_scalar(np.asarray(value), np.ndim(mu_value) == 0 and np.ndim(p) == 0)
 
 
 def physical_region(mu_value: float) -> tuple[float, float]:
@@ -183,12 +199,8 @@ class SweepGrid:
 class MuAnalysis:
     """Per-mu certification results inside the (1/6, 1/2) window."""
 
-    mu: float
-    p_lo: float
-    p_hi: float
     monotone_violations: int
     inflection_p: float | None  # None: curvature stayed positive through 2/3
-    argmin_p: float
     argmin_on_boundary: bool
 
 
@@ -240,38 +252,24 @@ class DeltaSweepReport:
         }
 
 
-def _sum_eof(mu_value: float, p: np.ndarray) -> np.ndarray:
-    f_b, f_c = _fidelities_d4(p)
-    return eof_from_concurrence(
-        clone_concurrence(mu_value, f_b)
-    ) + eof_from_concurrence(clone_concurrence(mu_value, f_c))
-
-
-def _eof_b(mu_value: float, p: np.ndarray) -> np.ndarray:
-    f_b, _ = _fidelities_d4(p)
-    return eof_from_concurrence(clone_concurrence(mu_value, f_b))
-
-
 def _analyze_mu(mu_value: float, grid: SweepGrid) -> MuAnalysis:
     p_lo, p_hi = physical_region(mu_value)
     tol = grid.tolerance
 
     # the combined clone EoF must be nondecreasing from p = 1/2 to the
     # upper region boundary
-    ps = np.arange(0.5, p_hi, grid.p_step)
-    ps = np.append(ps, p_hi)
-    mono_violations = int(np.sum(np.diff(_sum_eof(mu_value, ps)) < -tol))
+    ps = np.append(np.arange(0.5, p_hi, grid.p_step), p_hi)
+    *_, eof_b, eof_c, _ = _gap(mu_value, ps)
+    mono_violations = int(np.sum(np.diff(eof_b + eof_c) < -tol))
 
     # inflection of the B-clone EoF, scanned where the concurrence is
     # safely positive up to 2/3 (curvature is +inf-like at the crossing
     # and decreases with p); central second difference, h = 1e-4
     h = 1e-4
     scan = np.arange(p_lo + 1e-3, 2.0 / 3.0 + 1e-12, 1e-3)
-    second = (
-        _eof_b(mu_value, scan + h)
-        - 2.0 * _eof_b(mu_value, scan)
-        + _eof_b(mu_value, scan - h)
-    ) / h**2
+    *_, eof_b, _, _ = _gap(mu_value, np.concatenate([scan + h, scan, scan - h]))
+    up, mid, down = eof_b.reshape(3, -1)
+    second = (up - 2.0 * mid + down) / h**2
     negative = np.nonzero(second < 0)[0]
     if negative.size == 0:
         inflection = None
@@ -285,20 +283,15 @@ def _analyze_mu(mu_value: float, grid: SweepGrid) -> MuAnalysis:
 
     # within the physical region the gap bottoms out where a concurrence
     # vanishes, i.e. at the region boundary
-    region = np.arange(p_lo, p_hi, grid.p_step)
-    region = np.append(region, p_hi)
-    values = delta(mu_value, region)
+    region = np.append(np.arange(p_lo, p_hi, grid.p_step), p_hi)
+    *_, values = _gap(mu_value, region)
     argmin_p = float(region[int(np.argmin(values))])
     on_boundary = (
         argmin_p <= p_lo + grid.p_step + 1e-12 or argmin_p >= p_hi - grid.p_step - 1e-12
     )
     return MuAnalysis(
-        mu=float(mu_value),
-        p_lo=p_lo,
-        p_hi=p_hi,
         monotone_violations=mono_violations,
         inflection_p=inflection,
-        argmin_p=argmin_p,
         argmin_on_boundary=on_boundary,
     )
 
@@ -315,14 +308,7 @@ def sweep_delta(grid: SweepGrid | None = None) -> DeltaSweepReport:
     grid = grid or SweepGrid()
     mu_values = grid.mu_values()
     p_values = grid.p_values()
-    f_b, f_c = _fidelities_d4(p_values)
-    c_b = clone_concurrence(mu_values[:, None], f_b[None, :])
-    c_c = clone_concurrence(mu_values[:, None], f_c[None, :])
-    delta_grid = (
-        eof_from_concurrence(np.minimum(2.0 * mu_values, 1.0))[:, None]
-        - eof_from_concurrence(c_b)
-        - eof_from_concurrence(c_c)
-    )
+    f_b, f_c, c_b, c_c, _, _, delta_grid = _gap(mu_values[:, None], p_values)
 
     flat = int(np.argmin(delta_grid))
     mi, pi = np.unravel_index(flat, delta_grid.shape)

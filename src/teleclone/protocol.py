@@ -349,10 +349,12 @@ def outcome_probabilities(psi: StateVector, params: CloneParams) -> dict:
 
     The row norms of the batch walk that evaluate_outcomes also takes, and
     nothing else: no correction, overlap or fidelity is computed.  Keyed
-    by BellOutcome in all_outcomes order.  For any normalized input the
-    distribution comes out uniform at 4^(-n).
+    by BellOutcome in all_outcomes order.  The input passes run's check
+    (size, register limit, norm 1 within 1e-6), and the distribution
+    comes out uniform at 4^(-n).
     """
-    rows, _, _ = _sender_walk(psi.normalized(), build_channel(params))
+    psi = _checked_input(psi, params.n)
+    rows, _, _ = _sender_walk(psi, build_channel(params))
     probs = (np.abs(rows) ** 2).sum(axis=1) / 2**params.n
     return dict(zip(BellOutcome.all_outcomes(params.n), probs.tolist()))
 
@@ -388,7 +390,11 @@ def evaluate_outcomes(
 def sample_outcomes(
     psi: StateVector, params: CloneParams, num_samples: int, seed: int
 ) -> dict:
-    """Counts of num_samples consecutive measure_senders draws from one default_rng(seed)."""
+    """Counts of num_samples consecutive measure_senders draws from one default_rng(seed).
+
+    The input passes run's check before the channel is built.
+    """
+    psi = _checked_input(psi, params.n)
     if num_samples < 0:
         raise ValueError(f"num_samples must be nonnegative, got {num_samples}")
     draws = np.random.default_rng(seed).random((num_samples, params.n))

@@ -15,7 +15,7 @@ from . import entanglement as ent
 from . import mixed as mx
 from . import protocol as pt
 from . import qstate as qs
-from .cloning import CloneParams, clone_fidelities, clone_pair, cloner_basis_state
+from .cloning import CloneParams, clone_fidelities, clone_pair, cloner_basis_state, fidelity_curve
 
 DEFAULT_SEED = 20240811
 
@@ -375,9 +375,9 @@ def sweep_checks(report: ent.DeltaSweepReport) -> list:
 def physical_region_deviation(mu_value: float) -> tuple[float, bool]:
     """|p_lo + p_hi - 1|, and whether both concurrences turn positive at p_lo."""
     lo, hi = ent.physical_region(mu_value)
-    inside = all(ent.clone_concurrence(mu_value, f) > 0 for f in ent._fidelities_d4(lo + 1e-6))
+    inside = all(ent.clone_concurrence(mu_value, f) > 0 for f in fidelity_curve(lo + 1e-6, 4))
     outside = any(
-        ent.clone_concurrence(mu_value, f) == 0.0 for f in ent._fidelities_d4(lo - 1e-6)
+        ent.clone_concurrence(mu_value, f) == 0.0 for f in fidelity_curve(lo - 1e-6, 4)
     )
     return abs(lo + hi - 1.0), inside and outside
 

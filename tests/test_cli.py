@@ -127,6 +127,13 @@ class TestRunCommand:
         assert "norm nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_outcome_of_the_wrong_length_exit_2(self, tmp_path):
+        out = tmp_path / "t.json"
+        argv = ["run", "--n", "2", "--input", "ghz", "--outcome", "PHI+", "--output", str(out)]
+        code, _, err = call_main(argv)
+        assert (code, err) == (2, "error: outcome length does not match the number of pairs\n")
+        assert not out.exists()
+
     def test_sampled_without_seed_exit_2(self, capsys):
         code = main(["run", "--n", "2", "--input", "bell"])
         assert code == 2
@@ -204,6 +211,16 @@ class TestSweepDelta:
         header, rows = read_csv_rows(out)
         assert header == ["mu", "p", "f_b", "f_c", "c_b", "c_c", "delta"]
         assert float(rows[0]["c_b"]) == pytest.approx(0.4, abs=1e-9)
+
+    def test_mu_within_its_band_is_accepted(self):
+        code, out, err = call_main(["sweep-delta", "--mu", "-7e-13", "--p", "0.5"])
+        assert code == 0
+        assert out.splitlines()[1].startswith("-7e-13,0.5,")
+        assert json.loads(err)["delta"] == 0.0
+
+    def test_mu_outside_its_band_is_refused(self):
+        code, out, err = call_main(["sweep-delta", "--mu", "-2e-12", "--p", "0.5"])
+        assert (code, out, err) == (2, "", "error: mu outside [0, 1/2]\n")
 
     def test_low_mu_has_empty_region(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -381,21 +398,18 @@ def oracle_csv(header, rows) -> str:
 
 
 def oracle_delta_rows(mu_value, ps):
-    """One row per p, each computed on scalars as the per-cell writer did."""
+    """One row per p, each computed on scalars, delta from the public EoF and concurrence."""
     rows = []
     for p in ps:
         f_b, f_c = fidelity_curve(p, 4)
-        rows.append(
-            [
-                mu_value,
-                p,
-                f_b,
-                f_c,
-                ent.clone_concurrence(mu_value, float(f_b)),
-                ent.clone_concurrence(mu_value, float(f_c)),
-                ent.delta(mu_value, p),
-            ]
+        c_b = ent.clone_concurrence(mu_value, float(f_b))
+        c_c = ent.clone_concurrence(mu_value, float(f_c))
+        gap = (
+            ent.eof_from_concurrence(min(2.0 * mu_value, 1.0))
+            - ent.eof_from_concurrence(c_b)
+            - ent.eof_from_concurrence(c_c)
         )
+        rows.append([mu_value, p, f_b, f_c, c_b, c_c, gap])
     return rows
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from teleclone import entanglement as ent
 from teleclone import qstate
-from teleclone.cloning import CloneParams, clone_fidelities, clone_pair
+from teleclone.cloning import CloneParams, clone_fidelities, clone_pair, fidelity_curve
 from teleclone.qstate import DensityMatrix, StateVector
 
 RT2 = 1 / np.sqrt(2)
@@ -123,6 +123,18 @@ class TestDelta:
     def test_symmetric_maximal_point(self):
         assert ent.delta(0.5, 0.5) == pytest.approx(0.49955, abs=1e-4)
 
+    @pytest.mark.parametrize("mu_value, p", [(-7e-13, 0.5), (-7e-13, 1.0), (0.5 + 7e-13, 1.0)])
+    def test_mu_within_its_band_is_accepted(self, mu_value, p):
+        # mu's band is 1e-12, as in clone_concurrence; 2 mu and C = 2 mu at
+        # p = 1 lie up to 1.4e-12 outside [0, 1] and are clamped, not refused
+        clamped = min(max(mu_value, 0.0), 0.5)
+        assert ent.delta(mu_value, p) == pytest.approx(ent.delta(clamped, p), abs=1e-11)
+
+    @pytest.mark.parametrize("mu_value", [-2e-12, 0.5 + 2e-12])
+    def test_mu_outside_its_band_is_refused(self, mu_value):
+        with pytest.raises(ValueError, match=r"mu outside \[0, 1/2\]"):
+            ent.delta(mu_value, 0.5)
+
     def test_nonnegative_on_coarse_grid(self):
         mus = np.linspace(0.0, 0.5, 51)
         ps = np.linspace(0.0, 1.0, 101)
@@ -136,8 +148,8 @@ class TestDelta:
         for mu_value in (0.3, 0.4, 0.45):
             lo, hi = ent.physical_region(mu_value)
             for p in np.linspace(lo + 0.01, hi - 0.01, 7):
-                f_hi = ent._fidelities_d4(p + h)
-                f_lo = ent._fidelities_d4(p - h)
+                f_hi = fidelity_curve(p + h, 4)
+                f_lo = fidelity_curve(p - h, 4)
                 d_b = ent.eof_from_concurrence(
                     ent.clone_concurrence(mu_value, f_hi[0])
                 ) - ent.eof_from_concurrence(ent.clone_concurrence(mu_value, f_lo[0]))
@@ -166,7 +178,7 @@ class TestPhysicalRegion:
         for mu_value in (0.2, 0.3, 0.45):
             lo, hi = ent.physical_region(mu_value)
             for p in (lo + 1e-6, hi - 1e-6):
-                f_b, f_c = ent._fidelities_d4(p)
+                f_b, f_c = fidelity_curve(p, 4)
                 assert ent.clone_concurrence(mu_value, float(f_b)) > 0
                 assert ent.clone_concurrence(mu_value, float(f_c)) > 0
 
@@ -174,7 +186,7 @@ class TestPhysicalRegion:
         for mu_value in (0.2, 0.3, 0.45):
             lo, hi = ent.physical_region(mu_value)
             for p in (lo - 1e-6, hi + 1e-6):
-                f_b, f_c = ent._fidelities_d4(p)
+                f_b, f_c = fidelity_curve(p, 4)
                 assert (
                     ent.clone_concurrence(mu_value, float(f_b)) == 0.0
                     or ent.clone_concurrence(mu_value, float(f_c)) == 0.0

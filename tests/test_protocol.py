@@ -545,6 +545,34 @@ class TestSampling:
         assert counts == sample_outcomes(psi, params, 4096, seed=7)
 
 
+class TestOutcomeTableInputCheck:
+    """outcome_probabilities and sample_outcomes check the input as run does."""
+
+    CALLS = {
+        "outcome_probabilities": outcome_probabilities,
+        "sample_outcomes": lambda psi, params: sample_outcomes(psi, params, 10, seed=7),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_channel(self, monkeypatch):
+        def no_channel(params):
+            raise AssertionError("build_channel called for a bad input")
+
+        monkeypatch.setattr(protocol, "build_channel", no_channel)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("amplitudes", [[1.0, np.nan, 0, 0], [3.0, 0, 0, 0]])
+    def test_norm_checked_before_the_channel(self, call, amplitudes):
+        state = StateVector(np.array(amplitudes, dtype=complex), 2)
+        with pytest.raises(ValueError, match="input state norm"):
+            self.CALLS[call](state, CloneParams(p=0.5, n=2))
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_size_checked_before_the_channel(self, call):
+        with pytest.raises(ValueError, match="input register size does not match n=2"):
+            self.CALLS[call](random_input(3, 83), CloneParams(p=0.5, n=2))
+
+
 class TestEntanglementCost:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_n_ebits_with_the_maximal_reference_and_none_without(self, n):
