@@ -9,6 +9,7 @@ protocol cannot create entanglement.  `_gap` alone forms F -> C -> EoF
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -105,16 +106,11 @@ def wootters_concurrence(rho) -> float:
     ordered: max{0, sqrt(lam_0) - sqrt(lam_1) - sqrt(lam_2) - sqrt(lam_3)}.
     Conjugation is taken in the computational basis.
     """
-    if isinstance(rho, DensityMatrix):
-        if rho.num_qubits != 2:
-            raise ValueError("concurrence is defined for two-qubit states")
-        mat = rho.entries
-    else:
-        mat = np.asarray(rho, dtype=complex)
-        if mat.shape != (4, 4):
-            raise ValueError("expected a 4x4 density matrix")
-        if not np.allclose(mat, mat.conj().T, atol=1e-9, rtol=0):
-            raise ValueError("density matrix is not Hermitian")
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho, 2)
+    if rho.num_qubits != 2:
+        raise ValueError("concurrence is defined for two-qubit states")
+    mat = rho.entries
     flip = np.kron(PAULI_Y, PAULI_Y)
     spectrum = np.linalg.eigvals(mat @ flip @ mat.conj() @ flip)
     spectrum = np.real(spectrum)
@@ -176,20 +172,17 @@ class SweepGrid:
 
     mu_step: float = 0.005
     p_step: float = 0.001
-    mu_min: float = 0.0
-    mu_max: float = 0.5
-    tolerance: float = 1e-9
+    #: delta below -tolerance counts as a violation
+    tolerance: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         # written so that NaN fails it too
         if not (0.0 < self.mu_step <= 1.0 and 0.0 < self.p_step <= 1.0):
             raise ValueError("grid steps must lie in (0, 1]")
-        if not 0.0 <= self.mu_min <= self.mu_max <= 0.5:
-            raise ValueError("mu range must satisfy 0 <= mu_min <= mu_max <= 0.5")
 
     def mu_values(self) -> np.ndarray:
-        count = int(round((self.mu_max - self.mu_min) / self.mu_step)) + 1
-        return np.linspace(self.mu_min, self.mu_max, count)
+        """mu over its whole range [0, 1/2]."""
+        return np.linspace(0.0, 0.5, int(round(0.5 / self.mu_step)) + 1)
 
     def p_values(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, int(round(1.0 / self.p_step)) + 1)

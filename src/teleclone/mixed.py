@@ -1,27 +1,21 @@
 """1->4 telecloning of mixed states via purification.
 
 A mixed n-qubit state diagonal in the computational basis is purified to
-2n qubits, the 2n-qubit pure protocol clones the purification to the B
-and C sides, and tracing each side down again yields four clones of the
-original mixed state — with a strictly better fidelity floor than pure
-telecloning at the same dimension.
+2n qubits and the 2n-qubit pure protocol clones the purification to the
+B and C sides.  Each n-qubit half of either side, read straight off the
+final state, is one of four clones of the original mixed state — with a
+strictly better fidelity floor than pure telecloning at the same
+dimension.  `_clones` is the one purified run behind `teleclone_mixed`
+and `trace_fidelities`.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cloning import CloneParams
 from .protocol import BellOutcome, run
-from .qstate import (
-    DensityMatrix,
-    StateVector,
-    partial_trace,
-    reduced_density,
-    state_fidelity,
-    uhlmann_fidelity,
-)
+from .qstate import DensityMatrix, StateVector, reduced_density, uhlmann_fidelity
 
 
 @dataclass(frozen=True)
@@ -62,9 +56,8 @@ def purify(mixed: MixedInput) -> StateVector:
     """
     dim = mixed.dimension
     amps = np.zeros(dim * dim, dtype=complex)
-    for k in range(dim):
-        amps[k * dim + k] = math.sqrt(mixed.alphas[k])
-    return StateVector(amps, 2 * mixed.n)
+    amps[np.arange(dim) * (dim + 1)] = np.sqrt(mixed.alphas)  # |k>|k>
+    return StateVector._owned(amps, 2 * mixed.n)
 
 
 def _check_protocol_params(mixed: MixedInput, params: CloneParams) -> None:
@@ -74,10 +67,23 @@ def _check_protocol_params(mixed: MixedInput, params: CloneParams) -> None:
         )
 
 
-def _run_purified(mixed, params, outcome, seed):
+def _clones(mixed, params, outcome, seed):
+    """The purified run's transcript and its (B, C, B', C') clones.
+
+    One run of the 2n-qubit protocol on purify(mixed), forced to the
+    all-(PHI,+) outcome unless `outcome` or `seed` is given; each n-qubit
+    clone is reduced once from the final (B B', C C', anc) state.
+    """
+    _check_protocol_params(mixed, params)
     if outcome is None and seed is None:
         outcome = BellOutcome.all_phi_plus(params.n)
-    return run(purify(mixed), params, outcome=outcome, seed=seed)
+    transcript = run(purify(mixed), params, outcome=outcome, seed=seed)
+    m, n = params.n, mixed.n
+    clones = tuple(
+        reduced_density(transcript.final_state, range(start, start + n))
+        for start in (0, m, n, m + n)
+    )
+    return transcript, clones
 
 
 def teleclone_mixed(
@@ -87,23 +93,15 @@ def teleclone_mixed(
     outcome: BellOutcome | None = None,
     seed: int | None = None,
 ) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix, DensityMatrix]:
-    """Simulate the purified protocol and trace down to the four clones.
+    """Simulate the purified protocol once and read off the four clones.
 
-    Returns (rho_B, rho_C, rho_B', rho_C').  The purification is
-    symmetric under swapping a system with its primed partner, so the
-    primed and unprimed clones agree.  Defaults to the all-(PHI,+) forced
-    outcome (the result is outcome-independent).
+    Returns (rho_B, rho_C, rho_B', rho_C'), each the reduced state of one
+    n-qubit half of the B or C side.  The purification is symmetric under
+    swapping a system with its primed partner, so the primed and unprimed
+    clones agree.  Defaults to the all-(PHI,+) forced outcome (the result
+    is outcome-independent).
     """
-    _check_protocol_params(mixed, params)
-    transcript = _run_purified(mixed, params, outcome, seed)
-    m, n = params.n, mixed.n
-    rho_bb = reduced_density(transcript.final_state, range(m))
-    rho_cc = reduced_density(transcript.final_state, range(m, 2 * m))
-    rho_b = partial_trace(rho_bb, range(n))
-    rho_b2 = partial_trace(rho_bb, range(n, 2 * n))
-    rho_c = partial_trace(rho_cc, range(n))
-    rho_c2 = partial_trace(rho_cc, range(n, 2 * n))
-    return rho_b, rho_c, rho_b2, rho_c2
+    return _clones(mixed, params, outcome, seed)[1]
 
 
 def mixed_clone_formula(mixed: MixedInput, params: CloneParams) -> DensityMatrix:
@@ -153,27 +151,16 @@ def fidelity_bounds(params: CloneParams) -> tuple[float, float]:
     return lower_b, lower_c
 
 
-def trace_fidelities(
-    mixed: MixedInput,
-    params: CloneParams,
-    *,
-    outcome: BellOutcome | None = None,
-    seed: int | None = None,
-) -> tuple[float, float]:
-    """Simulated (F_mixed, F_pure) pair for one protocol instance; never raises on a violation.
+def trace_fidelities(mixed: MixedInput, params: CloneParams) -> tuple[float, float]:
+    """Simulated (F_mixed, F_pure) pair of the all-(PHI,+) run; never raises on a violation.
 
-    F_mixed compares the traced-down clone with the mixed input via the
-    Uhlmann fidelity; F_pure compares the purified clone pair with the
-    purification.  Tracing is a quantum operation, so F_mixed can only be
-    larger.
+    F_mixed is the Uhlmann fidelity of the mixed input and the B clone;
+    F_pure is the run's fidelity_b, <Psi|rho_BB'|Psi> of the purification
+    Psi and the purified clone pair.  Tracing B' out is a quantum
+    operation, so F_mixed can only be larger.
     """
-    _check_protocol_params(mixed, params)
-    transcript = _run_purified(mixed, params, outcome, seed)
-    rho_bb = reduced_density(transcript.final_state, range(params.n))
-    f_pure = state_fidelity(purify(mixed), rho_bb)
-    rho_b = partial_trace(rho_bb, range(mixed.n))
-    f_mixed = uhlmann_fidelity(mixed.density(), rho_b)
-    return f_mixed, f_pure
+    transcript, (rho_b, *_) = _clones(mixed, params, None, None)
+    return uhlmann_fidelity(mixed.density(), rho_b), transcript.fidelity_b
 
 
 def sample_simplex(dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:

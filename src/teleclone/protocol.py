@@ -410,7 +410,6 @@ def entanglement_cost_check(
     *,
     input_state: StateVector | None = None,
     outcome: BellOutcome | None = None,
-    seed: int | None = None,
 ) -> float:
     """Ebits the protocol delivers across the (reference | receivers) cut.
 
@@ -419,7 +418,9 @@ def entanglement_cost_check(
     entangled 2^(-n/2) sum_j |j>_A |j>_ref on n + n qubits; with it the
     final state carries exactly n ebits between the reference and the
     receiver side, for every p — which is why n ebits of channel
-    entanglement are necessary.  A product input yields 0.
+    entanglement are necessary.  A product input yields 0.  The run is
+    forced to `outcome`, all-(PHI,+) by default; the count does not
+    depend on it.
     """
     n = params.n
     n_ref = n if input_state is None else input_state.num_qubits - n
@@ -430,12 +431,11 @@ def entanglement_cost_check(
         amps = np.zeros(1 << 2 * n, dtype=complex)
         amps[np.arange(params.d) * (params.d + 1)] = 2.0 ** (-n / 2)  # |j>|j>
         input_state = StateVector._owned(amps, 2 * n)
-    if outcome is None and seed is None:
+    if outcome is None:
         outcome = BellOutcome.all_phi_plus(n)
-    rng = np.random.default_rng(seed) if seed is not None else None
     channel = build_channel(params)
     total = tensor(input_state, channel.state)
     pairs = [(i, n + n_ref + i) for i in range(n)]
-    measured, collapsed, _ = project_pairs(total, pairs, outcome=outcome, rng=rng)
+    measured, collapsed, _ = project_pairs(total, pairs, outcome=outcome)
     final = apply_corrections(collapsed, correction_plan(measured), offset=n_ref)
     return entanglement_entropy(final, range(n_ref))

@@ -114,6 +114,14 @@ class TestWoottersConcurrence:
         with pytest.raises(ValueError):
             ent.wootters_concurrence(np.triu(np.full((4, 4), 0.25)))
 
+    def test_rejects_trace_two(self):
+        with pytest.raises(ValueError, match="trace"):
+            ent.wootters_concurrence(np.eye(4) / 2)
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="eigenvalue"):
+            ent.wootters_concurrence(np.diag([1.2, -0.2, 0.0, 0.0]))
+
 
 class TestDelta:
     def test_zero_mu(self):
@@ -214,8 +222,6 @@ class TestSweep:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             ent.SweepGrid(mu_step=0.0)
-        with pytest.raises(ValueError):
-            ent.SweepGrid(mu_min=0.4, mu_max=0.2)
 
     @pytest.mark.parametrize("step", [0.0, -0.0, -0.01, np.nan, np.inf, -np.inf, 1.5])
     def test_grid_steps_must_lie_in_unit_interval(self, step):

@@ -5,7 +5,7 @@ from teleclone import mixed as mx
 from teleclone import qstate
 from teleclone.cloning import CloneParams, fidelity_curve
 from teleclone.mixed import MixedInput
-from teleclone.protocol import BellOutcome
+from teleclone.protocol import BellOutcome, run
 
 RT2 = 1 / np.sqrt(2)
 
@@ -87,6 +87,42 @@ class TestTelecloneMixed:
         mixed = MixedInput(np.array([0.5, 0.5]), 1)
         with pytest.raises(ValueError):
             mx.teleclone_mixed(mixed, CloneParams(p=0.5, n=3))
+
+
+class TestMixedRouteOracle:
+    """The clones and F_pure against a two-step route of public primitives."""
+
+    @pytest.mark.parametrize(
+        ("alphas", "p", "mode"),
+        [
+            ([0.7, 0.3], 0.4, {}),
+            ([0.7, 0.3], 0.4, {"outcome": BellOutcome.parse("PSI-,PHI-")}),
+            ([0.6, 0.4], 0.25, {"seed": 1}),
+            ([0.6, 0.4], 0.75, {"seed": 2}),
+            ([0.4, 0.3, 0.2, 0.1], 0.3, {"seed": 3}),
+        ],
+    )
+    def test_clones_and_pure_fidelity(self, alphas, p, mode):
+        mixed = MixedInput(np.array(alphas), len(alphas).bit_length() - 1)
+        params = mixed.protocol_params(p)
+        n, m = mixed.n, params.n
+        forced = mode or {"outcome": BellOutcome.all_phi_plus(m)}
+        final = run(mx.purify(mixed), params, **forced).final_state
+        rho_bb = qstate.reduced_density(final, range(m))
+        rho_cc = qstate.reduced_density(final, range(m, 2 * m))
+        oracle = (
+            qstate.partial_trace(rho_bb, range(n)),
+            qstate.partial_trace(rho_cc, range(n)),
+            qstate.partial_trace(rho_bb, range(n, m)),
+            qstate.partial_trace(rho_cc, range(n, m)),
+        )
+        clones = mx.teleclone_mixed(mixed, params, **mode)
+        for clone, expected in zip(clones, oracle, strict=True):
+            np.testing.assert_allclose(clone.entries, expected.entries, rtol=0, atol=1e-12)
+        _, f_pure = mx.trace_fidelities(mixed, params)
+        assert f_pure == pytest.approx(
+            qstate.state_fidelity(mx.purify(mixed), rho_bb), abs=1e-12
+        )
 
 
 class TestMixedCloneFormula:
