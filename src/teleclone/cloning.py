@@ -87,6 +87,15 @@ def _machine_support(d: int) -> tuple[np.ndarray, np.ndarray]:
     return index, rows
 
 
+def _machine_weights(params: CloneParams) -> np.ndarray:
+    """The amplitudes of _machine_support's terms, rounded as cloner_basis_state rounds them."""
+    d = params.d
+    shifted = d * (d - 1)
+    weights = np.repeat(np.array([1.0, params.p, params.q], dtype=complex), [d, shifted, shifted])
+    weights /= math.sqrt(params.normalization)
+    return weights
+
+
 def target_state(alphas, params: CloneParams) -> StateVector:
     """Superposition sum_j alphas[j] * cloner_basis_state(j) on 3n qubits.
 
@@ -100,12 +109,8 @@ def target_state(alphas, params: CloneParams) -> StateVector:
         raise ValueError(f"expected {d} amplitudes, got {alphas.size}")
     _check_register_size(3 * params.n)
     index, rows = _machine_support(d)
-    shifted = d * (d - 1)
-    weights = np.repeat(np.array([1.0, params.p, params.q], dtype=complex), [d, shifted, shifted])
-    # the rounding of cloner_basis_state: scale first, then weight by alpha_j
-    weights /= math.sqrt(params.normalization)
     amps = np.zeros(d**3, dtype=complex)
-    amps[index] = alphas[rows] * weights
+    amps[index] = alphas[rows] * _machine_weights(params)  # scaled first, then weighted by alpha_j
     return StateVector._owned(amps, 3 * params.n)
 
 

@@ -5,14 +5,19 @@ their qubit pairs, broadcast 2n classical bits, and the receivers apply
 local Pauli triples to land on the target superposition of cloning-machine
 states — for every one of the 4^n (uniformly likely) outcomes.
 
-After the senders' Bell walk, run (one row) and evaluate_outcomes (all
-4^n) share one input check, one fold of a correction plan into a Pauli
-frame, and one readout of probability, target overlap, F_B and F_C.
+The senders' Bell walk runs on the input and a label register K that
+stands in for the receivers, psi (x) sum_k |k>_{A'}|k>_K; its rows are
+then lifted once through the channel, |k>_K -> machine_state_k.  After
+it, run (one row) and evaluate_outcomes (all 4^n) share one input
+check, one fold of a correction plan into a Pauli frame, and one readout
+of probability, target overlap, F_B and F_C.  The dense total state of
+attach_input, measured by measure_senders, is the independent oracle.
 
 Register layouts (big-endian blocks of n qubits each):
   channel      (A', B, C, anc)           4n qubits
   total state  (A, A', B, C, anc)        5n qubits, pairs (A_i, A'_i)
-  final state  (B, C, anc)               3n qubits
+  walk         (A, A', K)                3n qubits, pairs (A_i, A'_i)
+  final state  (B, C, anc)               3n qubits, the walk's K lifted
 """
 
 import functools
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloning import CloneParams, cloner_basis_state, target_state
+from .cloning import CloneParams, _machine_support, _machine_weights, target_state
 from .qstate import (
     _BELL_ORDER,
     BellElement,
@@ -112,8 +117,9 @@ def build_channel(params: CloneParams) -> ChannelState:
     """
     _check_register_size(4 * params.n)
     d = params.d
-    blocks = [cloner_basis_state(k, params).amplitudes for k in range(d)]
-    amps = np.concatenate(blocks) / math.sqrt(d)
+    index, rows = _machine_support(d)
+    amps = np.zeros(d**4, dtype=complex)
+    amps[rows * d**3 + index] = _machine_weights(params) / math.sqrt(d)  # row k: |k>_{A'}
     return ChannelState(StateVector._owned(amps, 4 * params.n), params)
 
 
@@ -268,7 +274,11 @@ class ProtocolTranscript:
 
 
 def _checked_input(psi: StateVector, n: int) -> StateVector:
-    """The normalized input, checked before the 5n-qubit attached state is allocated."""
+    """The normalized input, checked before anything is allocated.
+
+    The sender walk holds only 3n qubits, but the contract stays the
+    5n-qubit limit of the attach_input state, which the dense oracle needs.
+    """
     if psi.num_qubits != n:
         raise ValueError(f"input register size does not match n={n}")
     _check_register_size(5 * n)
@@ -278,10 +288,18 @@ def _checked_input(psi: StateVector, n: int) -> StateVector:
 
 
 def _sender_walk(psi: StateVector, channel: ChannelState, **mode) -> tuple:
-    """_bell_walk over the sender pairs (A_i, A'_i) of attach_input(psi, channel)."""
-    total, n = attach_input(psi, channel), channel.params.n
+    """_bell_walk over the sender pairs (A_i, A'_i) of attach_input(psi, channel).
+
+    The walk runs on psi (x) sum_k |k>_{A'}|k>_K, 3n qubits, and its K rows
+    are lifted once through the channel's (A', B C anc) matrix.  The walk is
+    linear in A', so the lift is exact; the machine outputs are orthonormal,
+    so sampled mode's conditional weights are the dense ones up to a constant.
+    """
+    n, d = channel.params.n, channel.params.d
+    walked = np.kron(psi.amplitudes, np.eye(d, dtype=complex).ravel())  # (A, A', K)
     pairs = [(i, n + i) for i in range(n)]
-    return _bell_walk(total.amplitudes, total.num_qubits, pairs, **mode)
+    rows, elements, trials = _bell_walk(walked, 3 * n, pairs, **mode)
+    return rows @ channel.state.amplitudes.reshape(d, -1), elements, trials
 
 
 def _readout(psi: StateVector, params: CloneParams, rows: np.ndarray, frame) -> tuple:

@@ -441,10 +441,10 @@ class TestEvaluateOutcomes:
         assert protocol._pauli_frame.cache_info().currsize == 0
 
     def test_oversize_register_refused_before_allocation(self, monkeypatch):
-        def no_attach(psi, channel):
-            raise AssertionError("attach_input called for an oversize batch")
+        def no_walk(psi, channel, **mode):
+            raise AssertionError("sender walk called for an oversize batch")
 
-        monkeypatch.setattr(protocol, "attach_input", no_attach)
+        monkeypatch.setattr(protocol, "_sender_walk", no_walk)
         # the n=5 channel itself fits (20 qubits); a stand-in avoids building it
         channel = protocol.ChannelState(StateVector.basis(0, 1), CloneParams(p=0.5, n=5))
         with pytest.raises(ValueError, match="register size 25 is outside the 20-qubit limit"):
@@ -458,14 +458,45 @@ class TestEvaluateOutcomes:
         "amplitudes", [[1.0, 0, 0, 1.0], [1.0 + 2e-6, 0, 0, 0], [1.0, np.nan, 0, 0]]
     )
     def test_norm_checked_before_allocation(self, monkeypatch, amplitudes):
-        def no_attach(psi, channel):
-            raise AssertionError("attach_input called for a bad input")
+        def no_walk(psi, channel, **mode):
+            raise AssertionError("sender walk called for a bad input")
 
         channel = build_channel(CloneParams(p=0.5, n=2))
-        monkeypatch.setattr(protocol, "attach_input", no_attach)
+        monkeypatch.setattr(protocol, "_sender_walk", no_walk)
         state = StateVector(np.array(amplitudes, dtype=complex), 2)
         with pytest.raises(ValueError, match="input state norm"):
             evaluate_outcomes(state, channel)
+
+
+class TestSenderWalk:
+    """The 3n-qubit walk lifted through the channel, with the dense 5n-qubit walk as the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_row_equals_the_dense_walk(self, n):
+        params = CloneParams(p=0.35, n=n)
+        channel = build_channel(params)
+        psi = random_input(n, 130 + n)
+        rows, elements, _ = protocol._sender_walk(psi, channel)
+        total = attach_input(psi, channel)
+        pairs = [(i, n + i) for i in range(n)]
+        dense_rows, dense_elements, _ = qstate._bell_walk(total.amplitudes, 5 * n, pairs)
+        assert rows.shape == dense_rows.shape == (4**n, 8**n)
+        assert elements == dense_elements
+        assert np.abs(rows - dense_rows).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, seeds", [(2, 300), (3, 300), (4, 100)])
+    def test_seeded_run_equals_dense_measure_senders(self, n, seeds):
+        params = CloneParams(p=0.6, n=n)
+        channel = build_channel(params)
+        psi = random_input(n, 140 + n)
+        total = attach_input(psi, channel)
+        for s in range(seeds):
+            tr = run(psi, params, seed=s, channel=channel)
+            outcome, collapsed, prob = measure_senders(total, params, rng=np.random.default_rng(s))
+            assert tr.outcome == outcome, s
+            assert abs(tr.probability - prob) <= 1e-12, s
+            final = apply_corrections(collapsed, correction_plan(outcome))
+            assert np.abs(tr.final_state.amplitudes - final.amplitudes).max() <= 1e-12, s
 
 
 class TestSampling:
