@@ -161,7 +161,7 @@ def cmd_sweep_delta(args) -> int:
             summary = {
                 "rows": int(ps.size),
                 "min_delta": float(values.min()),
-                "violations": int(np.sum(values < -1e-9)),
+                "violations": int(np.sum(values < -ent.SweepGrid.tolerance)),
             }
         summary.update(_region_info(args.mu))
     _write_csv(args.output, _DELTA_HEADER, body)

@@ -7,17 +7,17 @@ states — for every one of the 4^n (uniformly likely) outcomes.
 
 The senders' Bell walk runs on the input and a label register K that
 stands in for the receivers, psi (x) sum_k |k>_{A'}|k>_K; its rows are
-then lifted once through the channel, |k>_K -> machine_state_k.  After
-it, run (one row) and evaluate_outcomes (all 4^n) share one input
+then lifted once through the channel, |k>_K -> machine_state_k (_lift).
+After it, run (one row) and evaluate_outcomes (all 4^n) share one input
 check, one fold of a correction plan into a Pauli frame, and one readout
 of probability, target overlap, F_B and F_C.  The dense total state of
 attach_input, measured by measure_senders, is the independent oracle.
 
-Register layouts (big-endian blocks of n qubits each):
+Register layouts (big-endian; ref is entanglement_cost_check's reference):
   channel      (A', B, C, anc)           4n qubits
   total state  (A, A', B, C, anc)        5n qubits, pairs (A_i, A'_i)
-  walk         (A, A', K)                3n qubits, pairs (A_i, A'_i)
-  final state  (B, C, anc)               3n qubits, the walk's K lifted
+  walk         (A, ref, A', K)           n_ref + 3n qubits, pairs (A_i, A'_i)
+  final state  (ref, B, C, anc)          n_ref + 3n qubits, the walk's K lifted
 """
 
 import functools
@@ -282,39 +282,47 @@ def _checked_input(psi: StateVector, n: int) -> StateVector:
     if psi.num_qubits != n:
         raise ValueError(f"input register size does not match n={n}")
     _check_register_size(5 * n)
-    if not abs(psi.norm - 1.0) <= 1e-6:  # NaN fails it too
-        raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
+    _check_norm(psi)
     return psi.normalized()
 
 
-def _sender_walk(psi: StateVector, channel: ChannelState, **mode) -> tuple:
-    """_bell_walk over the sender pairs (A_i, A'_i) of attach_input(psi, channel).
+def _check_norm(psi: StateVector) -> None:
+    if not abs(psi.norm - 1.0) <= 1e-6:  # NaN fails it too
+        raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
 
-    The walk runs on psi (x) sum_k |k>_{A'}|k>_K, 3n qubits, and its K rows
-    are lifted once through the channel's (A', B C anc) matrix.  The walk is
-    linear in A', so the lift is exact; the machine outputs are orthonormal,
-    so sampled mode's conditional weights are the dense ones up to a constant.
+
+def _sender_walk(psi: StateVector, n: int, **mode) -> tuple:
+    """_bell_walk over the pairs (i, m + i) of psi (x) sum_k |k>_{A'}|k>_K, rows on (ref, K).
+
+    psi holds the n sender qubits, then any reference qubits: m in all.  The
+    machine outputs are orthonormal, so sampled mode's conditional weights
+    are those of the dense walk over tensor(psi, channel.state), up to a constant.
     """
-    n, d = channel.params.n, channel.params.d
-    walked = np.kron(psi.amplitudes, np.eye(d, dtype=complex).ravel())  # (A, A', K)
-    pairs = [(i, n + i) for i in range(n)]
-    rows, elements, trials = _bell_walk(walked, 3 * n, pairs, **mode)
-    return rows @ channel.state.amplitudes.reshape(d, -1), elements, trials
+    m, d = psi.num_qubits, 1 << n
+    walked = np.kron(psi.amplitudes, np.eye(d, dtype=complex).ravel())  # (A, ref, A', K)
+    return _bell_walk(walked, m + 2 * n, [(i, m + i) for i in range(n)], **mode)
 
 
-def _readout(psi: StateVector, params: CloneParams, rows: np.ndarray, frame) -> tuple:
+def _lift(rows: np.ndarray, channel: ChannelState) -> np.ndarray:
+    """Walk rows on (ref, K) to (ref, B, C, anc), |k>_K -> channel row k; exact by linearity."""
+    d = channel.params.d
+    return (rows.reshape(-1, d) @ channel.state.amplitudes.reshape(d, -1)).reshape(len(rows), -1)
+
+
+def _readout(psi: StateVector, channel: ChannelState, rows: np.ndarray, frame) -> tuple:
     """Probability, corrected final state, target overlap, F_B and F_C of walk rows.
 
-    Each sender-walk row is corrected by its `frame` row (_frame) and
-    normalized; F_B (F_C) is the squared norm of conj(psi) contracted into
-    the B (C) axis of the (B, C, anc) final state.
+    Each sender-walk row is lifted through `channel`, corrected by its
+    `frame` row (_frame) and normalized; F_B (F_C) is the squared norm of
+    conj(psi) contracted into the B (C) axis of the (B, C, anc) final state.
     """
-    n, d = params.n, params.d
+    n, d = channel.params.n, channel.params.d
     index, sign = frame
+    rows = _lift(rows, channel)
     probs = (np.abs(rows) ** 2).sum(axis=1) / 2**n
     final = np.take_along_axis(rows, index, axis=1)
     final *= sign / np.sqrt(probs * 2**n)[:, None]  # the frame's signs, rows normalized
-    target = target_state(psi.amplitudes, params).amplitudes
+    target = target_state(psi.amplitudes, channel.params).amplitudes
     overlap = np.abs(final @ target.conj()) ** 2
     bra = psi.amplitudes.conj()
     fidelity_b = (np.abs(bra @ final.reshape(-1, d, d * d)) ** 2).sum(axis=1)  # (row, B, C*anc)
@@ -344,11 +352,11 @@ def run(
         channel = build_channel(params)
     elif channel.params != params:
         raise ValueError("channel was built for different params")
-    rows, (elements,), _ = _sender_walk(psi, channel, **mode)
+    rows, (elements,), _ = _sender_walk(psi, params.n, **mode)
     measured = BellOutcome(tuple(_BELL_ORDER[e] for e in elements))
     plan = correction_plan(measured)
     frame = _frame([_fold(plan, 3 * params.n)], 3 * params.n)
-    probs, final, overlap, fidelity_b, fidelity_c = _readout(psi, params, rows, frame)
+    probs, final, overlap, fidelity_b, fidelity_c = _readout(psi, channel, rows, frame)
     return ProtocolTranscript(
         params=params,
         outcome=measured,
@@ -360,21 +368,6 @@ def run(
         fidelity_c=float(fidelity_c[0]),
         target_overlap=float(overlap[0]),
     )
-
-
-def outcome_probabilities(psi: StateVector, params: CloneParams) -> dict:
-    """Exact joint probability of every one of the 4^n outcomes.
-
-    The row norms of the batch walk that evaluate_outcomes also takes, and
-    nothing else: no correction, overlap or fidelity is computed.  Keyed
-    by BellOutcome in all_outcomes order.  The input passes run's check
-    (size, register limit, norm 1 within 1e-6), and the distribution
-    comes out uniform at 4^(-n).
-    """
-    psi = _checked_input(psi, params.n)
-    rows, _, _ = _sender_walk(psi, build_channel(params))
-    probs = (np.abs(rows) ** 2).sum(axis=1) / 2**params.n
-    return dict(zip(BellOutcome.all_outcomes(params.n), probs.tolist()))
 
 
 @functools.cache
@@ -397,11 +390,10 @@ def evaluate_outcomes(
     run(psi, channel.params, outcome=..., channel=channel) reports, from
     the same input check and readout.
     """
-    psi = _checked_input(psi, channel.params.n)
-    rows, _, _ = _sender_walk(psi, channel)
-    probs, _, overlap, fidelity_b, fidelity_c = _readout(
-        psi, channel.params, rows, _pauli_frame(channel.params.n)
-    )
+    n = channel.params.n
+    psi = _checked_input(psi, n)
+    rows, _, _ = _sender_walk(psi, n)
+    probs, _, overlap, fidelity_b, fidelity_c = _readout(psi, channel, rows, _pauli_frame(n))
     return probs, overlap, fidelity_b, fidelity_c
 
 
@@ -410,13 +402,14 @@ def sample_outcomes(
 ) -> dict:
     """Counts of num_samples consecutive measure_senders draws from one default_rng(seed).
 
-    The input passes run's check before the channel is built.
+    The input passes run's check; no channel is built, since the draws
+    depend on the walk's weights alone.
     """
     psi = _checked_input(psi, params.n)
     if num_samples < 0:
         raise ValueError(f"num_samples must be nonnegative, got {num_samples}")
     draws = np.random.default_rng(seed).random((num_samples, params.n))
-    _, elements, trials = _sender_walk(psi, build_channel(params), draws=draws)
+    _, elements, trials = _sender_walk(psi, params.n, draws=draws)
     digits = np.array(elements, dtype=np.intp).reshape(-1, params.n)  # (0, n) for no draws
     index = digits @ 4 ** np.arange(params.n - 1, -1, -1)  # BellOutcome.index
     counts = np.bincount(index[trials], minlength=4**params.n)
@@ -438,7 +431,8 @@ def entanglement_cost_check(
     receiver side, for every p — which is why n ebits of channel
     entanglement are necessary.  A product input yields 0.  The run is
     forced to `outcome`, all-(PHI,+) by default; the count does not
-    depend on it.
+    depend on it.  The walk holds n_ref + 3n qubits; the input must fit the
+    dense oracle's n + n_ref + 4n and have norm 1 within 1e-6.
     """
     n = params.n
     n_ref = n if input_state is None else input_state.num_qubits - n
@@ -449,11 +443,12 @@ def entanglement_cost_check(
         amps = np.zeros(1 << 2 * n, dtype=complex)
         amps[np.arange(params.d) * (params.d + 1)] = 2.0 ** (-n / 2)  # |j>|j>
         input_state = StateVector._owned(amps, 2 * n)
+    _check_norm(input_state)
     if outcome is None:
         outcome = BellOutcome.all_phi_plus(n)
-    channel = build_channel(params)
-    total = tensor(input_state, channel.state)
-    pairs = [(i, n + n_ref + i) for i in range(n)]
-    measured, collapsed, _ = project_pairs(total, pairs, outcome=outcome)
-    final = apply_corrections(collapsed, correction_plan(measured), offset=n_ref)
+    rows, _, _ = _sender_walk(input_state, n, **_walk_mode(n, outcome, None))
+    (row,) = _lift(rows, build_channel(params))
+    row /= math.sqrt(np.vdot(row, row).real)  # the squared norm is 2^n P(outcome)
+    final = StateVector._owned(row, n_ref + 3 * n)  # (ref, B, C, anc)
+    final = apply_corrections(final, correction_plan(outcome), offset=n_ref)
     return entanglement_entropy(final, range(n_ref))

@@ -240,11 +240,10 @@ def protocol_deviations(psi, channel, outcomes, fidelities) -> tuple[float, floa
 
 def outcome_probability_deviation(psi, params: CloneParams, expected: float) -> float:
     """Worst |P(outcome) - expected| over the 4^n outcomes; inf unless 4^n come back."""
-    probs = pt.outcome_probabilities(psi, params)
+    probs, _, _, _ = pt.evaluate_outcomes(psi, pt.build_channel(params))
     if len(probs) != 4**params.n:
         return float("inf")
-    outcomes = pt.BellOutcome.all_outcomes(params.n)
-    return _largest(abs(probs.get(o, 0.0) - expected) for o in outcomes)
+    return _largest(np.abs(probs - expected))
 
 
 def sampled_frequency_check(psi, params: CloneParams, samples: int, seed: int) -> CheckResult:

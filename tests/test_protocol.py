@@ -16,7 +16,6 @@ from teleclone.protocol import (
     entanglement_cost_check,
     evaluate_outcomes,
     measure_senders,
-    outcome_probabilities,
     project_pairs,
     run,
     sample_outcomes,
@@ -60,6 +59,15 @@ PINNED_OUTCOMES = {
 
 def random_input(n, seed):
     return StateVector.random(n, np.random.default_rng(seed))
+
+
+def with_reference(n, reference, seed):
+    """n input qubits and n reference qubits: 2^(-n/2) sum_j |j>|j>, or a random product."""
+    if reference == "product":
+        return qstate.tensor(random_input(n, seed + n), random_input(n, seed + 10 + n))
+    amps = np.zeros(4**n, dtype=complex)
+    amps[np.arange(2**n) * (2**n + 1)] = 2.0 ** (-n / 2)
+    return StateVector(amps, 2 * n)
 
 
 def sequential_corrections(state, plan, offset=0):
@@ -156,9 +164,10 @@ class TestMeasureSenders:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_outcome_distribution_uniform(self, n):
-        probs = outcome_probabilities(random_input(n, 35), CloneParams(p=0.3, n=n))
+        params = CloneParams(p=0.3, n=n)
+        probs, _, _, _ = evaluate_outcomes(random_input(n, 35), build_channel(params))
         assert len(probs) == 4**n
-        for value in probs.values():
+        for value in probs:
             assert value == pytest.approx(0.25**n, abs=1e-9)
 
     def test_sampled_mode_deterministic(self):
@@ -412,15 +421,6 @@ class TestEvaluateOutcomes:
                 assert abs(column[k] - value) <= 1e-12, (outcome, column[k], value)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_probabilities_are_outcome_probabilities(self, n):
-        params = CloneParams(p=0.3, n=n)
-        psi = random_input(n, 70 + n)
-        probs, _, _, _ = evaluate_outcomes(psi, build_channel(params))
-        table = outcome_probabilities(psi, params)
-        assert list(table) == list(BellOutcome.all_outcomes(n))
-        assert list(table.values()) == probs.tolist()
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_index_is_the_enumeration_position(self, n):
         for k, outcome in enumerate(BellOutcome.all_outcomes(n)):
             assert outcome.index() == k
@@ -441,7 +441,7 @@ class TestEvaluateOutcomes:
         assert protocol._pauli_frame.cache_info().currsize == 0
 
     def test_oversize_register_refused_before_allocation(self, monkeypatch):
-        def no_walk(psi, channel, **mode):
+        def no_walk(psi, n, **mode):
             raise AssertionError("sender walk called for an oversize batch")
 
         monkeypatch.setattr(protocol, "_sender_walk", no_walk)
@@ -458,7 +458,7 @@ class TestEvaluateOutcomes:
         "amplitudes", [[1.0, 0, 0, 1.0], [1.0 + 2e-6, 0, 0, 0], [1.0, np.nan, 0, 0]]
     )
     def test_norm_checked_before_allocation(self, monkeypatch, amplitudes):
-        def no_walk(psi, channel, **mode):
+        def no_walk(psi, n, **mode):
             raise AssertionError("sender walk called for a bad input")
 
         channel = build_channel(CloneParams(p=0.5, n=2))
@@ -469,18 +469,35 @@ class TestEvaluateOutcomes:
 
 
 class TestSenderWalk:
-    """The 3n-qubit walk lifted through the channel, with the dense 5n-qubit walk as the oracle."""
+    """The walk lifted through the channel, with the dense walk as the oracle."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_row_equals_the_dense_walk(self, n):
         params = CloneParams(p=0.35, n=n)
         channel = build_channel(params)
         psi = random_input(n, 130 + n)
-        rows, elements, _ = protocol._sender_walk(psi, channel)
+        rows, elements, _ = protocol._sender_walk(psi, n)
+        rows = protocol._lift(rows, channel)
         total = attach_input(psi, channel)
         pairs = [(i, n + i) for i in range(n)]
         dense_rows, dense_elements, _ = qstate._bell_walk(total.amplitudes, 5 * n, pairs)
         assert rows.shape == dense_rows.shape == (4**n, 8**n)
+        assert elements == dense_elements
+        assert np.abs(rows - dense_rows).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("reference", ["maximal", "product"])
+    def test_spectator_rows_equal_the_dense_walk(self, n, reference):
+        # reference qubits after the senders ride through the walk and the
+        # lift untouched: (A, ref) (x) channel, pairs (i, 2n + i)
+        psi = with_reference(n, reference, 150)
+        channel = build_channel(CloneParams(p=0.35, n=n))
+        rows, elements, _ = protocol._sender_walk(psi, n)
+        rows = protocol._lift(rows, channel)
+        total = qstate.tensor(psi, channel.state)
+        pairs = [(i, 2 * n + i) for i in range(n)]
+        dense_rows, dense_elements, _ = qstate._bell_walk(total.amplitudes, 6 * n, pairs)
+        assert rows.shape == dense_rows.shape == (4**n, 16**n)
         assert elements == dense_elements
         assert np.abs(rows - dense_rows).max() <= 1e-12
 
@@ -575,12 +592,23 @@ class TestSampling:
         assert sum(counts.values()) == 4096
         assert counts == sample_outcomes(psi, params, 4096, seed=7)
 
+    def test_builds_no_channel(self, monkeypatch):
+        # the draws depend on the walk's weights alone
+        params = CloneParams(p=0.5, n=3)
+        psi = random_input(3, 123)
+        counts = sample_outcomes(psi, params, 512, seed=9)
+
+        def no_channel(params):
+            raise AssertionError("build_channel called for sampling")
+
+        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        assert sample_outcomes(psi, params, 512, seed=9) == counts
+
 
 class TestOutcomeTableInputCheck:
-    """outcome_probabilities and sample_outcomes check the input as run does."""
+    """sample_outcomes checks the input as run does."""
 
     CALLS = {
-        "outcome_probabilities": outcome_probabilities,
         "sample_outcomes": lambda psi, params: sample_outcomes(psi, params, 10, seed=7),
     }
 
@@ -639,6 +667,36 @@ class TestEntanglementCost:
         wide = random_input(13, 47)
         with pytest.raises(ValueError, match="register size 21 is outside the 20-qubit limit"):
             entanglement_cost_check(CloneParams(p=0.5, n=2), input_state=wide)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("reference", ["maximal", "product"])
+    def test_equals_the_dense_route(self, n, reference):
+        # the dense register (A, ref, A', B, C, anc) of 2n + 4n qubits,
+        # from public primitives only
+        params = CloneParams(p=0.3, n=n)
+        psi = with_reference(n, reference, 170)
+        outcome = BellOutcome.parse(",".join(["PSI-", "PHI-", "PSI+"][:n]))
+        total = qstate.tensor(psi, build_channel(params).state)
+        pairs = [(i, 2 * n + i) for i in range(n)]
+        measured, collapsed, _ = project_pairs(total, pairs, outcome=outcome)
+        final = apply_corrections(collapsed, correction_plan(measured), offset=n)
+        expected = qstate.entanglement_entropy(final, range(n))
+        cost = entanglement_cost_check(params, input_state=psi, outcome=outcome)
+        assert abs(cost - expected) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [[1.0, np.nan, 0, 0], [0, 0, 0, 0], [3.0, 0, 0, 0]],
+        ids=["nan", "zero", "norm3"],
+    )
+    def test_degenerate_input_refused_before_the_channel(self, monkeypatch, amplitudes):
+        def no_channel(params):
+            raise AssertionError("build_channel called for a bad input")
+
+        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        state = StateVector(np.array(amplitudes, dtype=complex), 2)
+        with pytest.raises(ValueError, match="input state norm .* is not 1 within 1e-6"):
+            entanglement_cost_check(CloneParams(p=0.5, n=1), input_state=state)
 
     def test_product_reference_yields_zero(self):
         product = qstate.tensor(random_input(2, 45), StateVector.basis(0, 2))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from teleclone import qstate
 from teleclone.cloning import CloneParams, cloner_basis_state
-from teleclone.protocol import attach_input, build_channel, outcome_probabilities
+from teleclone.protocol import BellOutcome, attach_input, build_channel, evaluate_outcomes
 from teleclone.qstate import (
     PAULI_X,
     PAULI_Z,
@@ -154,9 +154,11 @@ class TestBellProject:
         # contraction; the pair (A_k, A'_k) sits at (0, n - k) by then
         params = CloneParams(p=0.3, n=n)
         psi = StateVector.random(n, np.random.default_rng(50 + n))
-        probs = outcome_probabilities(psi, params)
-        total = attach_input(psi, build_channel(params))
-        for outcome, prob in probs.items():
+        channel = build_channel(params)
+        probs, _, _, _ = evaluate_outcomes(psi, channel)
+        total = attach_input(psi, channel)
+        assert len(probs) == 4**n
+        for outcome, prob in zip(BellOutcome.all_outcomes(n), probs):
             state = total
             for k, element in enumerate(outcome.elements):
                 residual = tensordot_residual(state, (0, n - k), element)

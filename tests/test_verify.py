@@ -126,12 +126,10 @@ def test_nan_instance_fails_its_group_check(monkeypatch):
 
 @pytest.mark.parametrize("change", ["drop", "extra"])
 def test_outcome_count_must_be_4_to_the_n(monkeypatch, change):
-    # a missing or an extra outcome fails, even when every listed one is 1/16
-    outcomes = list(BellOutcome.all_outcomes(2))
-    listed = outcomes[1:] if change == "drop" else outcomes + [BellOutcome.parse("PHI+")]
+    # a missing or an extra row fails, even when every row reads 1/16
+    rows = 15 if change == "drop" else 17
     monkeypatch.setattr(
-        "teleclone.protocol.outcome_probabilities",
-        lambda psi, params: dict.fromkeys(listed, 1 / 16),
+        "teleclone.protocol.evaluate_outcomes", lambda psi, channel: (np.full(rows, 1 / 16),) * 4
     )
     psi = StateVector.basis(0, 2)
     params = CloneParams(p=0.5, n=2)
