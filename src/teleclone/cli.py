@@ -7,7 +7,9 @@ of memory, or an unexpected exception, reported as an internal error
 with its traceback.  CSV cells are '%.12g' numbers ('.' decimals, 12
 significant digits), never quoted, with LF line endings, so that
 identical configs produce byte-identical files; JSON output is
-sorted-key.
+sorted-key.  One vectorized cell kernel, `_cells`, writes the '%.12g'
+bytes of every CSV command (the `ok` flag of `mixed` is the cell of
+0.0 or 1.0), and `_lines` joins cells into lines.
 """
 
 import argparse
@@ -37,20 +39,104 @@ def _open_output(path: str | None):
             yield handle
 
 
-def _rows(template: str, *columns) -> str:
-    """One `template % row` line per index of the equal-length columns.
+#: bytes per cell: '%.12g' of a float64 takes at most 19 ('-1.23456789012e-308')
+_WIDTH = 20
+#: lines of sweep-delta rows formatted at once
+_BLOCK_LINES = 16384
+#: k = the number of these bounds x reaches.  For k in 1..4 (x in
+#: [1e-4, 1e-3) .. [0.1, 1)), x * _SCALE[k] = x * 10^(16 - k) rounds to
+#: x's 12 significant digits, and that integer times _SHIFT[k] =
+#: 10^(k - 1) is x's 15 decimals; the k = 0 and 5 entries only keep
+#: +0.0 at 0 and every other value finite
+_DECADES = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+_SCALE = np.array([1e12, 1e15, 1e14, 1e13, 1e12, 1e12])
+_SHIFT = np.array([1.0, 1.0, 10.0, 100.0, 1000.0, 1.0])
 
-    Each numpy column is converted to Python scalars once; '%.12g' is the
-    same text as format(float(x), '.12g') for every float, and never
-    contains a comma, quote or newline, so no cell needs CSV quoting.
+
+def _digit_words(head: bytes, places: int) -> np.ndarray:
+    """head and the zero-padded digits of 0 .. 10^places - 1, one 4-byte
+    word each, then the same words with the trailing zeros (and a head
+    left with no digit after it) as NULs."""
+    count = 10**places
+    text = np.empty((count, len(head) + places), np.uint8)
+    text[:, :len(head)] = np.frombuffer(head, np.uint8)
+    text[:, len(head):] = np.arange(count)[:, None] // 10 ** np.arange(places)[::-1] % 10 + ord("0")
+    kept = np.logical_or.accumulate((text > ord("0"))[:, ::-1], axis=1)[:, ::-1]
+    return np.concatenate([text, np.where(kept, text, 0)]).view(np.uint32).ravel()
+
+
+#: "0000".."9999", then stripped: "1200" -> "12", "0000" -> ""
+_QUADS = _digit_words(b"", 4)
+#: ".000"..".999", then stripped: ".100" -> ".1", ".000" (x = 0) -> ""
+_HEADS = _digit_words(b".", 3)
+#: the first word of a cell: three NULs and the units digit "0"
+_UNITS = np.frombuffer(b"\0\0\x000", np.uint32)[0]
+
+
+def _cells(x) -> np.ndarray:
+    """'%.12g' of every value of x as W NUL-padded bytes, shape x.shape + (W,).
+
+    +0.0 and values in [1e-4, 1) are written by arithmetic: scaled by an
+    exact power of ten to 12 significant digits and rounded (the product
+    is within 2^-14 of the exact one, so rounding is certain unless the
+    fraction lies within 1e-3 of 1/2), then "0." and 15 decimals through
+    a 4-digit table, trailing zeros removed.  Every other value (1, -0.0,
+    NaN, +-inf, tiny or large ones, near-ties) goes through '%.12g'
+    itself, in one call.
     """
-    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    return "".join(template % row for row in zip(*lists))
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).ravel()
+    k = sum((x >= bound).view(np.int8) for bound in _DECADES).astype(np.intp)
+    fast = ((k >= 1) & (k <= 4)) | (x.view(np.int64) == 0)
+    scaled = np.where(fast, x, 0.5) * _SCALE[k]
+    rounded = np.rint(scaled)
+    digits = rounded * _SHIFT[k]  # the 15 decimals as an integer, exact in float64
+    fast &= (np.abs(scaled - rounded) < 0.499) & (digits < 1e15)
+    digits = np.where(fast, digits, 0.0)
+    # every split below is of integers under 2^53: exact
+    high = np.floor(digits / 1e8)
+    low = digits - high * 1e8
+    a = np.floor(high / 1e4)
+    b = high - a * 1e4
+    c = np.floor(low / 1e4)
+    d = low - c * 1e4
+    words = np.empty((x.size, _WIDTH // 4), np.uint32)
+    words[:, 0] = _UNITS
+    words[:, 1] = _HEADS[(a + 1000.0 * ((b == 0) & (low == 0))).astype(np.intp)]
+    words[:, 2] = _QUADS[(b + 1e4 * (low == 0)).astype(np.intp)]
+    words[:, 3] = _QUADS[(c + 1e4 * (d == 0)).astype(np.intp)]
+    words[:, 4] = _QUADS[(d + 1e4).astype(np.intp)]
+    width = 17  # "0." and 15 decimals
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ("%20.12g" * slow.size % tuple(x[slow].tolist())).encode("ascii")
+        padded = np.frombuffer(text, np.uint8).reshape(-1, _WIDTH)
+        blank = padded == ord(" ")
+        words[slow] = np.where(blank, 0, padded).view(np.uint32)
+        width = max(width, _WIDTH - int(blank.sum(axis=1).min()))
+    return words.view(np.uint8)[:, _WIDTH - width:].reshape(*shape, width)
 
 
-def _write_csv(path: str | None, header, body: str) -> None:
+def _lines(*fields) -> bytes:
+    """CSV lines of cell fields, NUL padding removed.
+
+    Each field is a (..., W) array of cells from `_cells`; the fields
+    broadcast over their leading axes, which become the lines in C order.
+    """
+    shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
+    buf = np.empty(shape + (sum(f.shape[-1] + 1 for f in fields),), np.uint8)
+    at = 0
+    for f in fields:
+        buf[..., at:at + f.shape[-1]] = f
+        at += f.shape[-1] + 1
+        buf[..., at - 1] = ord(",")
+    buf[..., -1] = ord("\n")
+    return buf.tobytes().translate(None, b"\0")
+
+
+def _write_csv(path: str | None, header, body: bytes) -> None:
     """Write the header line and the formatted body in one write."""
-    text = ",".join(header) + "\n" + body
+    text = ",".join(header) + "\n" + body.decode("ascii")
     with _open_output(path) as handle:
         handle.write(text)
 
@@ -110,21 +196,32 @@ def cmd_run(args) -> int:
 _DELTA_HEADER = ["mu", "p", "f_b", "f_c", "c_b", "c_c", "delta"]
 
 
-def _delta_rows(mu_values, p_values, f_b, f_c, c_b, c_c, values) -> str:
+def _joined(*fields) -> np.ndarray:
+    """The lines of `_lines(*fields)` as (N, W) NUL-padded cells, without
+    newlines and W the longest line's length."""
+    lines = _lines(*fields).split(b"\n")[:-1]
+    return np.array(lines).view(np.uint8).reshape(len(lines), -1)
+
+
+def _delta_rows(mu_values, p_values, f_b, f_c, c_b, c_c, values) -> bytes:
     """sweep-delta CSV rows, mu-major; c_b, c_c and values are (mu, p) grids.
 
-    The (p, f_b, f_c) cells are the same for every mu, so they are
-    formatted once; each mu is formatted once into its row template.
+    mu and the (p, f_b, f_c) cells, the same for every mu, are formatted
+    and joined once; the grids are formatted and joined in blocks of mu
+    rows, which bounds the memory the cells take.
     """
-    shared = _rows("%.12g,%.12g,%.12g\n", p_values, f_b, f_c).splitlines()
-    return "".join(
-        _rows("%.12g,%%s,%%.12g,%%.12g,%%.12g\n" % mu_value, shared, cb, cc, d)
-        for mu_value, cb, cc, d in zip(mu_values.tolist(), c_b, c_c, values)
+    mu_cells = _joined(_cells(mu_values))[:, None]
+    shared = _joined(*(_cells(column) for column in (p_values, f_b, f_c)))
+    step = max(1, _BLOCK_LINES // p_values.size)
+    return b"".join(
+        _lines(mu_cells[i:i + step], shared, *(_cells(g[i:i + step]) for g in (c_b, c_c, values)))
+        for i in range(0, mu_values.size, step)
     )
 
 
 def _region_info(mu_value: float) -> dict:
-    if ent.MU_THRESHOLD < mu_value < 0.5:
+    mu_value = min(mu_value, 0.5)  # mu's band reaches 1e-12 past 1/2
+    if ent.MU_THRESHOLD < mu_value:
         lo, hi = ent.physical_region(mu_value)
         return {"physical_region": [lo, hi]}
     return {
@@ -173,7 +270,7 @@ def cmd_sweep_fidelity(args) -> int:
     params_check = CloneParams(p=0.0, n=args.n)  # validates n
     ps = ent.SweepGrid(p_step=args.p_step).p_values()
     f_b, f_c = fidelity_curve(ps, params_check.d)
-    body = _rows("%.12g,%.12g,%.12g,%.12g\n", ps, 1.0 - ps, f_b, f_c)
+    body = _lines(*(_cells(column) for column in (ps, 1.0 - ps, f_b, f_c)))
     _write_csv(args.output, ["p", "q", "f_b", "f_c"], body)
     summary = {
         "rows": int(ps.size),
@@ -227,8 +324,7 @@ def cmd_mixed(args) -> int:
         "f_pure",
         "ok",
     ]
-    template = "%.12g," * (mixed_dim + 4) + "%d\n"
-    _write_csv(args.output, header, _rows(template, *zip(*rows)))
+    _write_csv(args.output, header, _lines(*_cells(np.array(rows, dtype=float).T)))
     summary = {
         "rows": len(rows),
         "violations": violations,

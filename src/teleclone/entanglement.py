@@ -152,15 +152,18 @@ def delta(mu_value, p) -> float:
 def physical_region(mu_value: float) -> tuple[float, float]:
     """The open p-interval on which both clone concurrences are positive.
 
-    Defined for mu strictly inside (1/6, 1/2): endpoints
+    Defined for mu in (1/6, 1/2]: endpoints
     (1 + mu - sqrt(4 mu + mu^2)) / (1 - 2 mu) and
     (-3 mu + sqrt(4 mu + mu^2)) / (1 - 2 mu), which sum to 1 exactly.
     C_B vanishes at the lower endpoint and C_C at the upper; for
-    mu <= 1/6 the interval is empty and at mu = 1/2 the expression is
-    singular.
+    mu <= 1/6 the interval is empty.  At mu = 1/2 the expression has a
+    removable singularity; its limit (1/3, 2/3), where both clone
+    fidelities exceed 1/2, is returned for mu within 1e-12 below 1/2.
     """
-    if not MU_THRESHOLD < mu_value < 0.5:
-        raise ValueError(f"mu={mu_value} outside the open interval (1/6, 1/2)")
+    if not MU_THRESHOLD < mu_value <= 0.5:
+        raise ValueError(f"mu={mu_value} outside the interval (1/6, 1/2]")
+    if mu_value >= 0.5 - 1e-12:
+        return 1.0 / 3.0, 2.0 / 3.0
     root = math.sqrt(4.0 * mu_value + mu_value**2)
     denom = 1.0 - 2.0 * mu_value
     return (1.0 + mu_value - root) / denom, (-3.0 * mu_value + root) / denom
@@ -245,48 +248,58 @@ class DeltaSweepReport:
         }
 
 
-def _analyze_mu(mu_value: float, grid: SweepGrid) -> MuAnalysis:
-    p_lo, p_hi = physical_region(mu_value)
-    tol = grid.tolerance
+def _analyze(mus: np.ndarray, grid: SweepGrid) -> tuple:
+    """One MuAnalysis per mu, each mu strictly inside (1/6, 1/2).
 
+    Every mu's three p-scans go through one `_gap` evaluation; each
+    analysis reads its own slices of the result.
+    """
+    if mus.size == 0:
+        return ()
+    regions = [physical_region(m) for m in mus.tolist()]
+    h = 1e-4
     # the combined clone EoF must be nondecreasing from p = 1/2 to the
     # upper region boundary
-    ps = np.append(np.arange(0.5, p_hi, grid.p_step), p_hi)
-    *_, eof_b, eof_c, _ = _gap(mu_value, ps)
-    mono_violations = int(np.sum(np.diff(eof_b + eof_c) < -tol))
-
+    rising = [np.append(np.arange(0.5, hi, grid.p_step), hi) for _, hi in regions]
     # inflection of the B-clone EoF, scanned where the concurrence is
     # safely positive up to 2/3 (curvature is +inf-like at the crossing
     # and decreases with p); central second difference, h = 1e-4
-    h = 1e-4
-    scan = np.arange(p_lo + 1e-3, 2.0 / 3.0 + 1e-12, 1e-3)
-    *_, eof_b, _, _ = _gap(mu_value, np.concatenate([scan + h, scan, scan - h]))
-    up, mid, down = eof_b.reshape(3, -1)
-    second = (up - 2.0 * mid + down) / h**2
-    negative = np.nonzero(second < 0)[0]
-    if negative.size == 0:
-        inflection = None
-    else:
-        i = int(negative[0])
-        if i == 0:
-            inflection = float(scan[0])
-        else:
-            frac = second[i - 1] / (second[i - 1] - second[i])
-            inflection = float(scan[i - 1] + frac * (scan[i] - scan[i - 1]))
-
+    scans = [np.arange(lo + 1e-3, 2.0 / 3.0 + 1e-12, 1e-3) for lo, _ in regions]
     # within the physical region the gap bottoms out where a concurrence
     # vanishes, i.e. at the region boundary
-    region = np.append(np.arange(p_lo, p_hi, grid.p_step), p_hi)
-    *_, values = _gap(mu_value, region)
-    argmin_p = float(region[int(np.argmin(values))])
-    on_boundary = (
-        argmin_p <= p_lo + grid.p_step + 1e-12 or argmin_p >= p_hi - grid.p_step - 1e-12
-    )
-    return MuAnalysis(
-        monotone_violations=mono_violations,
-        inflection_p=inflection,
-        argmin_on_boundary=on_boundary,
-    )
+    inside = [np.append(np.arange(lo, hi, grid.p_step), hi) for lo, hi in regions]
+    parts = [
+        part
+        for ps, scan, region in zip(rising, scans, inside)
+        for part in (ps, scan + h, scan, scan - h, region)
+    ]
+    sizes = [part.size for part in parts]
+    *_, eof_b, eof_c, values = _gap(np.repeat(np.repeat(mus, 5), sizes), np.concatenate(parts))
+    edges = np.cumsum([0, *sizes]).tolist()
+
+    analyses = []
+    for i, ((p_lo, p_hi), scan, region) in enumerate(zip(regions, scans, inside)):
+        rise, up, mid, down, gaps = (slice(*edges[j:j + 2]) for j in range(5 * i, 5 * i + 5))
+        mono_violations = int(np.sum(np.diff(eof_b[rise] + eof_c[rise]) < -grid.tolerance))
+
+        second = (eof_b[up] - 2.0 * eof_b[mid] + eof_b[down]) / h**2
+        negative = np.nonzero(second < 0)[0]
+        if negative.size == 0:
+            inflection = None
+        else:
+            j = int(negative[0])
+            if j == 0:
+                inflection = float(scan[0])
+            else:
+                frac = second[j - 1] / (second[j - 1] - second[j])
+                inflection = float(scan[j - 1] + frac * (scan[j] - scan[j - 1]))
+
+        argmin_p = float(region[int(np.argmin(values[gaps]))])
+        on_boundary = (
+            argmin_p <= p_lo + grid.p_step + 1e-12 or argmin_p >= p_hi - grid.p_step - 1e-12
+        )
+        analyses.append(MuAnalysis(mono_violations, inflection, on_boundary))
+    return tuple(analyses)
 
 
 def sweep_delta(grid: SweepGrid | None = None) -> DeltaSweepReport:
@@ -305,11 +318,8 @@ def sweep_delta(grid: SweepGrid | None = None) -> DeltaSweepReport:
 
     flat = int(np.argmin(delta_grid))
     mi, pi = np.unravel_index(flat, delta_grid.shape)
-    analyses = tuple(
-        _analyze_mu(float(m), grid)
-        for m in mu_values
-        if MU_THRESHOLD + 1e-9 < m < 0.5 - 1e-9
-    )
+    window = (MU_THRESHOLD + 1e-9 < mu_values) & (mu_values < 0.5 - 1e-9)
+    analyses = _analyze(mu_values[window], grid)
     return DeltaSweepReport(
         grid=grid,
         mu_values=mu_values,

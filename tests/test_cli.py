@@ -234,6 +234,20 @@ class TestSweepDelta:
         for row in rows:
             assert float(row["c_b"]) == 0.0 or float(row["c_c"]) == 0.0
 
+    @pytest.mark.parametrize("mu_value", ["0.5", "0.5000000000007", "0.4999999999995"])
+    def test_maximal_mu_reports_the_limit_region(self, mu_value):
+        # the closed form is 0/0 at mu = 1/2; its rows say the region is (1/3, 2/3)
+        code, out, err = call_main(["sweep-delta", "--mu", mu_value, "--p-step", "0.01"])
+        assert code == 0
+        summary = json.loads(err)
+        assert summary["physical_region"] == [1.0 / 3.0, 2.0 / 3.0]
+        assert "note" not in summary
+        lines = out.splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        for row in rows:
+            both = float(row["c_b"]) > 0 and float(row["c_c"]) > 0
+            assert both == (1.0 / 3.0 < float(row["p"]) < 2.0 / 3.0)
+
     def test_full_sweep_summary_and_determinism(self, tmp_path, capsys):
         args = [
             "sweep-delta",
@@ -519,9 +533,91 @@ class TestCsvByteIdentity:
     )
     def test_template_equals_per_cell_format(self, value):
         assert "%.12g" % value == _fmt(value)
-        assert cli._rows("%.12g,%.12g\n", np.array([value]), [value]) == (
-            f"{_fmt(value)},{_fmt(value)}\n"
+        assert cli._lines(cli._cells(np.array([value])), cli._cells([value])) == (
+            f"{_fmt(value)},{_fmt(value)}\n".encode("ascii")
         )
+
+    @pytest.mark.parametrize("step", ["0.5", "1"])
+    def test_grid_without_an_analysis_window(self, tmp_path, capsys, step):
+        # no mu of the grid lies inside (1/6, 1/2): nothing to analyse
+        out = tmp_path / "grid.csv"
+        assert main(["sweep-delta", "--mu-step", step, "--output", str(out)]) == 0
+        mus = [0.0, 0.5] if step == "0.5" else [0.0]
+        assert capsys.readouterr().out == (
+            '{"argmin": {"mu": 0.0, "p": 0.0}, "argmin_on_region_boundary": true, '
+            '"inflection_ok": true, "min_delta": 0.0, "min_inflection_p": null, '
+            f'"monotone_ok": true, "rows": {1001 * len(mus)}, "violations": 0}}\n'
+        )
+        rows = [row for mu_value in mus for row in oracle_delta_rows(mu_value, linspace_grid(0.001))]
+        assert_same_text(out.read_bytes().decode("utf-8"), oracle_csv(cli._DELTA_HEADER, rows))
+
+
+def cell_texts(cells) -> list:
+    """The text of each (W,) cell of a `_cells` result, padding removed."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in cells.reshape(-1, cells.shape[-1])]
+
+
+#: fast-path bounds and the values next to them
+KERNEL_EDGES = [
+    1e-4,
+    float(np.nextafter(1e-4, 0.0)),
+    float(np.nextafter(1e-4, 1.0)),
+    9.9999999999995e-5,
+    0.99999999999949,
+    0.9999999999995,
+    0.99999999999951,
+    float(np.nextafter(1.0, 0.0)),
+    1.0,
+    *(float(np.nextafter(bound, 0.0)) for bound in (1e-3, 1e-2, 1e-1)),
+    1e-3,
+    1e-2,
+    1e-1,
+    5e-324,
+    -5e-324,
+    0.0,
+    -0.0,
+    np.nan,
+    -np.nan,
+    np.inf,
+    -np.inf,
+    -0.5,
+    1.7976931348623157e308,
+]
+
+
+class TestCellKernel:
+    """`cli._cells` against '%.12g' of each value."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.floats(min_value=1e-5, max_value=1.0),
+                st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(float))),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_cell_format(self, values):
+        assert cell_texts(cli._cells(values)) == ["%.12g" % v for v in values]
+
+    @pytest.mark.parametrize("value", KERNEL_EDGES)
+    def test_edges(self, value):
+        assert cell_texts(cli._cells([value])) == ["%.12g" % value]
+
+    def test_exact_decimal_ties(self):
+        # k * 1e-12 + 5e-13 lies on a tie of the 12th digit, up to its binary error
+        k = np.random.default_rng(13).integers(10**8, 10**12, 2000)
+        values = (k * 1e-12 + 5e-13).tolist() + [0.5 + 5e-13, 0.1 + 5e-13, 0.0001 + 5e-17]
+        assert cell_texts(cli._cells(values)) == ["%.12g" % v for v in values]
+
+    def test_shape_and_width(self):
+        cells = cli._cells(np.full((2, 3), 0.25))
+        assert cells.shape == (2, 3, 17) and cells.dtype == np.uint8
+        # a formatted cell may be 19 bytes long; the width follows it
+        assert cli._cells([-1.23456789012e-308]).shape == (1, 19)
 
 
 class TestNumericOptions:

@@ -200,13 +200,100 @@ class TestPhysicalRegion:
                     or ent.clone_concurrence(mu_value, float(f_c)) == 0.0
                 )
 
-    @pytest.mark.parametrize("mu_value", [0.1, 1 / 6, 0.5, 0.6])
+    @pytest.mark.parametrize("mu_value", [0.1, 1 / 6, 0.6])
     def test_outside_open_interval_rejected(self, mu_value):
         with pytest.raises(ValueError):
             ent.physical_region(mu_value)
 
+    def test_limit_at_half(self):
+        # removable singularity: both clone fidelities exceed 1/2 exactly on (1/3, 2/3)
+        for mu_value in (0.5, 0.5 - 5e-13, 0.5 - 1e-12):
+            assert ent.physical_region(mu_value) == (1.0 / 3.0, 2.0 / 3.0)
+        lo, hi = ent.physical_region(0.5 - 1e-9)  # the closed form, next to the limit
+        assert lo == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert hi == pytest.approx(2.0 / 3.0, abs=1e-6)
+        for p in (1.0 / 3.0 + 1e-6, 2.0 / 3.0 - 1e-6):
+            f_b, f_c = fidelity_curve(p, 4)
+            assert ent.clone_concurrence(0.5, float(f_b)) > 0
+            assert ent.clone_concurrence(0.5, float(f_c)) > 0
+        for p in (1.0 / 3.0 - 1e-6, 2.0 / 3.0 + 1e-6):
+            f_b, f_c = fidelity_curve(p, 4)
+            assert (
+                ent.clone_concurrence(0.5, float(f_b)) == 0.0
+                or ent.clone_concurrence(0.5, float(f_c)) == 0.0
+            )
+
+    def test_beyond_half_rejected(self):
+        with pytest.raises(ValueError):
+            ent.physical_region(float(np.nextafter(0.5, 1.0)))
+
+
+def analyze_mu(mu_value: float, grid) -> ent.MuAnalysis:
+    """One mu's certification on scalars: three `_gap` calls of its own scans."""
+    p_lo, p_hi = ent.physical_region(mu_value)
+    tol = grid.tolerance
+
+    ps = np.append(np.arange(0.5, p_hi, grid.p_step), p_hi)
+    *_, eof_b, eof_c, _ = ent._gap(mu_value, ps)
+    mono_violations = int(np.sum(np.diff(eof_b + eof_c) < -tol))
+
+    h = 1e-4
+    scan = np.arange(p_lo + 1e-3, 2.0 / 3.0 + 1e-12, 1e-3)
+    *_, eof_b, _, _ = ent._gap(mu_value, np.concatenate([scan + h, scan, scan - h]))
+    up, mid, down = eof_b.reshape(3, -1)
+    second = (up - 2.0 * mid + down) / h**2
+    negative = np.nonzero(second < 0)[0]
+    if negative.size == 0:
+        inflection = None
+    else:
+        i = int(negative[0])
+        if i == 0:
+            inflection = float(scan[0])
+        else:
+            frac = second[i - 1] / (second[i - 1] - second[i])
+            inflection = float(scan[i - 1] + frac * (scan[i] - scan[i - 1]))
+
+    region = np.append(np.arange(p_lo, p_hi, grid.p_step), p_hi)
+    *_, values = ent._gap(mu_value, region)
+    argmin_p = float(region[int(np.argmin(values))])
+    on_boundary = (
+        argmin_p <= p_lo + grid.p_step + 1e-12 or argmin_p >= p_hi - grid.p_step - 1e-12
+    )
+    return ent.MuAnalysis(
+        monotone_violations=mono_violations,
+        inflection_p=inflection,
+        argmin_on_boundary=on_boundary,
+    )
+
 
 class TestSweep:
+    @pytest.mark.parametrize("steps", [(0.005, 0.001), (0.01, 0.005), (0.001, 0.0005)])
+    def test_batched_analysis_equals_the_scalar_oracle(self, steps):
+        grid = ent.SweepGrid(*steps)
+        report = ent.sweep_delta(grid)
+        window = [
+            m for m in report.mu_values.tolist() if ent.MU_THRESHOLD + 1e-9 < m < 0.5 - 1e-9
+        ]
+        assert len(report.analyses) == len(window) > 0
+        assert list(report.analyses) == [analyze_mu(m, grid) for m in window]
+
+    def test_batched_monotone_counts_equal_the_scalar_oracle(self, monkeypatch):
+        # no p-step breaks monotonicity at the real tolerance; a negative one
+        # counts the rises under 2e-3, which differ from mu to mu
+        monkeypatch.setattr(ent.SweepGrid, "tolerance", -2e-3)
+        grid = ent.SweepGrid(0.01, 0.005)
+        window = [m for m in grid.mu_values().tolist() if ent.MU_THRESHOLD + 1e-9 < m < 0.5 - 1e-9]
+        analyses = ent.sweep_delta(grid).analyses
+        assert list(analyses) == [analyze_mu(m, grid) for m in window]
+        assert len({a.monotone_violations for a in analyses}) > 3
+
+    @pytest.mark.parametrize("mu_step", [0.5, 1.0])
+    def test_grid_without_an_analysis_window(self, mu_step):
+        report = ent.sweep_delta(ent.SweepGrid(mu_step=mu_step))
+        assert report.analyses == ()
+        assert report.min_inflection_p is None
+        assert report.monotone_ok and report.inflection_ok and report.boundary_ok
+
     def test_coarse_sweep_report(self):
         grid = ent.SweepGrid(mu_step=0.01, p_step=0.005)
         report = ent.sweep_delta(grid)
