@@ -9,7 +9,11 @@ significant digits), never quoted, with LF line endings, so that
 identical configs produce byte-identical files; JSON output is
 sorted-key.  One vectorized cell kernel, `_cells`, writes the '%.12g'
 bytes of every CSV command (the `ok` flag of `mixed` is the cell of
-0.0 or 1.0), and `_lines` joins cells into lines.
+0.0 or 1.0), and `_lines` joins cells into lines.  A CSV body is a list
+of such blocks of lines; every block is formatted before the output is
+opened, then `_write_csv` writes the header and the blocks one at a
+time, so a failure while formatting leaves no file and no partial
+stdout, and the body is never held a second time as one string.
 """
 
 import argparse
@@ -134,11 +138,16 @@ def _lines(*fields) -> bytes:
     return buf.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path: str | None, header, body: bytes) -> None:
-    """Write the header line and the formatted body in one write."""
-    text = ",".join(header) + "\n" + body.decode("ascii")
+def _write_csv(path: str | None, header, blocks: list[bytes]) -> None:
+    """Write the header line, then each formatted block of lines in turn.
+
+    The blocks are all formatted before this opens the output; each is
+    decoded only as it is written.
+    """
     with _open_output(path) as handle:
-        handle.write(text)
+        handle.write(",".join(header) + "\n")
+        for block in blocks:
+            handle.write(block.decode("ascii"))
 
 
 def _emit_summary(summary: dict, to_stderr: bool) -> None:
@@ -203,20 +212,22 @@ def _joined(*fields) -> np.ndarray:
     return np.array(lines).view(np.uint8).reshape(len(lines), -1)
 
 
-def _delta_rows(mu_values, p_values, f_b, f_c, c_b, c_c, values) -> bytes:
-    """sweep-delta CSV rows, mu-major; c_b, c_c and values are (mu, p) grids.
+def _delta_rows(mu_values, p_values, f_b, f_c, c_b, c_c, values) -> list[bytes]:
+    """sweep-delta CSV rows, mu-major, as a list of blocks of lines; c_b,
+    c_c and values are (mu, p) grids.
 
     mu and the (p, f_b, f_c) cells, the same for every mu, are formatted
     and joined once; the grids are formatted and joined in blocks of mu
-    rows, which bounds the memory the cells take.
+    rows, which bounds the memory the cells take.  The blocks are kept
+    apart for `_write_csv` to write one at a time.
     """
     mu_cells = _joined(_cells(mu_values))[:, None]
     shared = _joined(*(_cells(column) for column in (p_values, f_b, f_c)))
     step = max(1, _BLOCK_LINES // p_values.size)
-    return b"".join(
+    return [
         _lines(mu_cells[i:i + step], shared, *(_cells(g[i:i + step]) for g in (c_b, c_c, values)))
         for i in range(0, mu_values.size, step)
-    )
+    ]
 
 
 def _region_info(mu_value: float) -> dict:
@@ -231,9 +242,11 @@ def _region_info(mu_value: float) -> dict:
 
 
 def cmd_sweep_delta(args) -> int:
+    if args.mu is None and args.p is not None:
+        raise ValueError("--p evaluates a single point and needs --mu")
     if args.mu is None:
         report = ent.sweep_delta(ent.SweepGrid(mu_step=args.mu_step, p_step=args.p_step))
-        body = _delta_rows(
+        blocks = _delta_rows(
             report.mu_values,
             report.p_values,
             report.fidelity_b,
@@ -249,7 +262,7 @@ def cmd_sweep_delta(args) -> int:
         else:
             ps = ent.SweepGrid(p_step=args.p_step).p_values()
         f_b, f_c, c_b, c_c, _, _, values = ent._gap(args.mu, ps)
-        body = _delta_rows(
+        blocks = _delta_rows(
             np.array([args.mu]), ps, f_b, f_c, c_b[None], c_c[None], values[None]
         )
         if args.p is not None:
@@ -261,7 +274,7 @@ def cmd_sweep_delta(args) -> int:
                 "violations": int(np.sum(values < -ent.SweepGrid.tolerance)),
             }
         summary.update(_region_info(args.mu))
-    _write_csv(args.output, _DELTA_HEADER, body)
+    _write_csv(args.output, _DELTA_HEADER, blocks)
     _emit_summary(summary, args.output is None)
     return 0
 
@@ -271,7 +284,7 @@ def cmd_sweep_fidelity(args) -> int:
     ps = ent.SweepGrid(p_step=args.p_step).p_values()
     f_b, f_c = fidelity_curve(ps, params_check.d)
     body = _lines(*(_cells(column) for column in (ps, 1.0 - ps, f_b, f_c)))
-    _write_csv(args.output, ["p", "q", "f_b", "f_c"], body)
+    _write_csv(args.output, ["p", "q", "f_b", "f_c"], [body])
     summary = {
         "rows": int(ps.size),
         "d": params_check.d,
@@ -285,6 +298,8 @@ def cmd_sweep_fidelity(args) -> int:
 
 
 def cmd_mixed(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     # the purified protocol register (2n qubits), the same for every plan;
     # the cross-check below runs it, so its 5 * 2n qubits are checked first
     params = CloneParams(p=args.p, n=2 * args.n)
@@ -324,7 +339,7 @@ def cmd_mixed(args) -> int:
         "f_pure",
         "ok",
     ]
-    _write_csv(args.output, header, _lines(*_cells(np.array(rows, dtype=float).T)))
+    _write_csv(args.output, header, [_lines(*_cells(np.array(rows, dtype=float).T))])
     summary = {
         "rows": len(rows),
         "violations": violations,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -265,6 +266,15 @@ class TestSweepDelta:
         assert main(args + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_p_without_mu_is_refused(self, tmp_path):
+        # --p picks a point on one mu's curve, so it needs --mu
+        out = tmp_path / "rows.csv"
+        argv = ["sweep-delta", "--p", "0.5", "--mu-step", "0.25", "--p-step", "0.25"]
+        code, stdout, stderr = call_main(argv + ["--output", str(out)])
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and "--mu" in stderr
+        assert not out.exists()
+
     def test_default_grid_has_no_violations(self, tmp_path, capsys):
         out = tmp_path / "full.csv"
         assert main(["sweep-delta", "--output", str(out)]) == 0
@@ -354,6 +364,25 @@ class TestMixedCommand:
         monkeypatch.setattr(mx, "sample_simplex", no_plans)
         assert main(["mixed", "--n", "14", "--seed", "1"]) == 2
         assert "register size 140 is outside the 20-qubit limit" in capsys.readouterr().err
+
+    def test_negative_samples_refused_before_the_plans(self, tmp_path, monkeypatch):
+        def no_plans(*args):
+            raise AssertionError("simplex plans drawn for a negative count")
+
+        monkeypatch.setattr(mx, "sample_simplex", no_plans)
+        out = tmp_path / "mixed.csv"
+        code, stdout, stderr = call_main(
+            ["mixed", "--samples", "-1", "--seed", "1", "--output", str(out)]
+        )
+        assert (code, stdout, stderr) == (2, "", "error: --samples must be nonnegative, got -1\n")
+        assert not out.exists()
+
+    def test_zero_samples_writes_the_vertices_and_the_uniform_plan(self, tmp_path, capsys):
+        out = tmp_path / "mixed.csv"
+        assert main(["mixed", "--samples", "0", "--seed", "1", "--output", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 3
+        _, rows = read_csv_rows(out)
+        assert len(rows) == 3
 
     def test_oversize_register_leaves_no_csv(self, tmp_path, capsys):
         out = tmp_path / "mixed3.csv"
@@ -527,6 +556,53 @@ class TestCsvByteIdentity:
         captured = capsys.readouterr()
         assert_same_text(captured.out, out.read_bytes().decode("utf-8"))
         assert captured.err == summary
+
+    def test_stdout_equals_output_file_over_several_blocks(self, tmp_path, capsys):
+        # 51 x 2001 rows: seven blocks of 8 mu
+        args = ["sweep-delta", "--mu-step", "0.01", "--p-step", "0.0005"]
+        out = tmp_path / "fine.csv"
+        assert main(args + ["--output", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode("ascii") == out.read_bytes()
+        assert out.read_bytes().count(b"\n") == 51 * 2001 + 1
+        assert captured.err == summary
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_failure_in_a_later_block_writes_nothing(self, tmp_path, monkeypatch, to_file):
+        # _cells formats mu, the three shared columns, then the three grids
+        # of each of seven blocks of 8 mu: call 11 opens the third block
+        cells = cli._cells
+        calls = []
+
+        def fails_in_the_third_block(x):
+            calls.append(np.shape(x))
+            if len(calls) == 4 + 2 * 3 + 1:
+                raise MemoryError
+            return cells(x)
+
+        monkeypatch.setattr(cli, "_cells", fails_in_the_third_block)
+        out = tmp_path / "grid.csv"
+        argv = ["sweep-delta", "--mu-step", "0.01", "--p-step", "0.0005"]
+        code, stdout, stderr = call_main(argv + (["--output", str(out)] if to_file else []))
+        assert (code, stdout, stderr) == (2, "", "error: out of memory\n")
+        assert calls[-1] == (8, 2001)
+        assert not out.exists()
+
+    def test_default_delta_grid_holds_one_copy_of_the_body(self, tmp_path):
+        # the formatted blocks (7.5 MB) and one block's cells fit; a second
+        # copy of the body, joined or decoded, does not
+        out = tmp_path / "grid.csv"
+        argv = ["sweep-delta", "--output", str(out)]
+        assert call_main(argv)[0] == 0  # warm-up
+        tracemalloc.start()
+        try:
+            assert call_main(argv)[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize(
         "value", [-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, np.nan, np.inf, -np.inf]
