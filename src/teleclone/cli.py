@@ -31,7 +31,7 @@ from . import mixed as mx
 from . import protocol as pt
 from . import verify
 from .cloning import CloneParams, fidelity_curve
-from .qstate import StateVector, _check_register_size
+from .qstate import StateVector
 
 
 @contextlib.contextmanager
@@ -187,7 +187,7 @@ def _parse_input(spec: str, n: int, rng: np.random.Generator | None) -> StateVec
 
 def cmd_run(args) -> int:
     params = CloneParams(p=args.p, n=args.n)
-    _check_register_size(5 * args.n)  # before the input's 2^n amplitudes
+    pt._check_budget(args.n)  # before the input's 2^n amplitudes
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     psi = _parse_input(args.input, args.n, rng)
     if args.outcome is not None:
@@ -244,8 +244,10 @@ def _region_info(mu_value: float) -> dict:
 def cmd_sweep_delta(args) -> int:
     if args.mu is None and args.p is not None:
         raise ValueError("--p evaluates a single point and needs --mu")
+    # both steps are checked in every form, even where --mu or --p leaves them unused
+    grid = ent.SweepGrid(mu_step=args.mu_step, p_step=args.p_step)
     if args.mu is None:
-        report = ent.sweep_delta(ent.SweepGrid(mu_step=args.mu_step, p_step=args.p_step))
+        report = ent.sweep_delta(grid)
         blocks = _delta_rows(
             report.mu_values,
             report.p_values,
@@ -257,10 +259,7 @@ def cmd_sweep_delta(args) -> int:
         )
         summary = report.summary()
     else:
-        if args.p is not None:
-            ps = np.array([args.p])
-        else:
-            ps = ent.SweepGrid(p_step=args.p_step).p_values()
+        ps = grid.p_values() if args.p is None else np.array([args.p])
         f_b, f_c, c_b, c_c, _, _, values = ent._gap(args.mu, ps)
         blocks = _delta_rows(
             np.array([args.mu]), ps, f_b, f_c, c_b[None], c_c[None], values[None]
@@ -300,10 +299,10 @@ def cmd_sweep_fidelity(args) -> int:
 def cmd_mixed(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
-    # the purified protocol register (2n qubits), the same for every plan;
-    # the cross-check below runs it, so its 5 * 2n qubits are checked first
+    # every plan's purified 2n-qubit protocol; the cross-check below runs it,
+    # so its budget is checked first
     params = CloneParams(p=args.p, n=2 * args.n)
-    _check_register_size(5 * params.n)
+    pt._check_budget(params.n)
     lower, _ = mx.fidelity_bounds(params)
     f_pure = float(fidelity_curve(args.p, params.d)[0])
     mixed_dim = 1 << args.n

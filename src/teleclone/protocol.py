@@ -8,10 +8,10 @@ states — for every one of the 4^n (uniformly likely) outcomes.
 The senders' Bell walk runs on the input and a label register K that
 stands in for the receivers, psi (x) sum_k |k>_{A'}|k>_K; its rows are
 then lifted once through the channel, |k>_K -> machine_state_k (_lift).
-After it, run (one row) and evaluate_outcomes (all 4^n) share one input
-check, one fold of a correction plan into a Pauli frame, and one readout
-of probability, target overlap, F_B and F_C.  The dense total state of
-attach_input, measured by measure_senders, is the independent oracle.
+Every entry point passes one input gate (_checked_input), and every lifted
+row becomes its corrected final state in one step (_final), which run and
+evaluate_outcomes read out and entanglement_cost_check takes the entropy
+of.  The dense attach_input state, measured by measure_senders, is the oracle.
 
 Register layouts (big-endian; ref is entanglement_cost_check's reference):
   channel      (A', B, C, anc)           4n qubits
@@ -273,22 +273,20 @@ class ProtocolTranscript:
         }
 
 
-def _checked_input(psi: StateVector, n: int) -> StateVector:
-    """The normalized input, checked before anything is allocated.
+def _check_budget(n: int, n_ref: int = 0) -> None:
+    """Refuse, before anything is allocated, a run whose dense oracle register
+    (A, ref, A', B, C, anc) of n_ref + 5n qubits is past the limit."""
+    _check_register_size(n_ref + 5 * n)
 
-    The sender walk holds only 3n qubits, but the contract stays the
-    5n-qubit limit of the attach_input state, which the dense oracle needs.
-    """
-    if psi.num_qubits != n:
+
+def _checked_input(psi: StateVector, n: int, n_ref: int = 0) -> StateVector:
+    """psi normalized, once its size (n + n_ref), qubit budget and norm are checked."""
+    if psi.num_qubits != n + n_ref:
         raise ValueError(f"input register size does not match n={n}")
-    _check_register_size(5 * n)
-    _check_norm(psi)
-    return psi.normalized()
-
-
-def _check_norm(psi: StateVector) -> None:
+    _check_budget(n, n_ref)
     if not abs(psi.norm - 1.0) <= 1e-6:  # NaN fails it too
         raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
+    return psi.normalized()
 
 
 def _sender_walk(psi: StateVector, n: int, **mode) -> tuple:
@@ -309,19 +307,24 @@ def _lift(rows: np.ndarray, channel: ChannelState) -> np.ndarray:
     return (rows.reshape(-1, d) @ channel.state.amplitudes.reshape(d, -1)).reshape(len(rows), -1)
 
 
-def _readout(psi: StateVector, channel: ChannelState, rows: np.ndarray, frame) -> tuple:
-    """Probability, corrected final state, target overlap, F_B and F_C of walk rows.
-
-    Each sender-walk row is lifted through `channel`, corrected by its
-    `frame` row (_frame) and normalized; F_B (F_C) is the squared norm of
-    conj(psi) contracted into the B (C) axis of the (B, C, anc) final state.
-    """
-    n, d = channel.params.n, channel.params.d
+def _final(rows: np.ndarray, channel: ChannelState, frame) -> tuple:
+    """Outcome probability and corrected final state of each sender-walk row:
+    lifted through `channel`, gathered and signed by its `frame` row (_frame),
+    then normalized (its squared norm is 2^n times the probability)."""
     index, sign = frame
     rows = _lift(rows, channel)
-    probs = (np.abs(rows) ** 2).sum(axis=1) / 2**n
+    norms = (np.abs(rows) ** 2).sum(axis=1)
     final = np.take_along_axis(rows, index, axis=1)
-    final *= sign / np.sqrt(probs * 2**n)[:, None]  # the frame's signs, rows normalized
+    final *= sign / np.sqrt(norms)[:, None]  # the frame's signs, rows normalized
+    return norms / 2**channel.params.n, final
+
+
+def _readout(psi: StateVector, channel: ChannelState, rows: np.ndarray, frame) -> tuple:
+    """Probability, final state (_final), target overlap, F_B and F_C of walk
+    rows; F_B (F_C) is the squared norm of conj(psi) contracted into the B (C)
+    axis of the (B, C, anc) final state."""
+    d = channel.params.d
+    probs, final = _final(rows, channel, frame)
     target = target_state(psi.amplitudes, channel.params).amplitudes
     overlap = np.abs(final @ target.conj()) ** 2
     bra = psi.amplitudes.conj()
@@ -431,24 +434,22 @@ def entanglement_cost_check(
     receiver side, for every p — which is why n ebits of channel
     entanglement are necessary.  A product input yields 0.  The run is
     forced to `outcome`, all-(PHI,+) by default; the count does not
-    depend on it.  The walk holds n_ref + 3n qubits; the input must fit the
-    dense oracle's n + n_ref + 4n and have norm 1 within 1e-6.
+    depend on it.  The input passes run's check, with the reference inside
+    the qubit budget, and the corrected final state is run's (_final).
     """
     n = params.n
-    n_ref = n if input_state is None else input_state.num_qubits - n
+    if input_state is None:
+        _check_budget(n, n)  # before the 2^(2n) amplitudes of the default reference
+        amps = np.eye(params.d, dtype=complex).ravel() * 2.0 ** (-n / 2)  # sum_j |j>|j>
+        input_state = StateVector._owned(amps, 2 * n)
+    n_ref = input_state.num_qubits - n
     if n_ref < 1:
         raise ValueError("input must carry at least one reference qubit")
-    _check_register_size(n + n_ref + 4 * n)
-    if input_state is None:
-        amps = np.zeros(1 << 2 * n, dtype=complex)
-        amps[np.arange(params.d) * (params.d + 1)] = 2.0 ** (-n / 2)  # |j>|j>
-        input_state = StateVector._owned(amps, 2 * n)
-    _check_norm(input_state)
+    psi = _checked_input(input_state, n, n_ref)
     if outcome is None:
         outcome = BellOutcome.all_phi_plus(n)
-    rows, _, _ = _sender_walk(input_state, n, **_walk_mode(n, outcome, None))
-    (row,) = _lift(rows, build_channel(params))
-    row /= math.sqrt(np.vdot(row, row).real)  # the squared norm is 2^n P(outcome)
-    final = StateVector._owned(row, n_ref + 3 * n)  # (ref, B, C, anc)
-    final = apply_corrections(final, correction_plan(outcome), offset=n_ref)
-    return entanglement_entropy(final, range(n_ref))
+    rows, _, _ = _sender_walk(psi, n, **_walk_mode(n, outcome, None))
+    m = n_ref + 3 * n  # (ref, B, C, anc); the plan acts past the reference
+    frame = _frame([_fold(correction_plan(outcome), m, n_ref)], m)
+    _, (final,) = _final(rows, build_channel(params), frame)
+    return entanglement_entropy(StateVector._owned(final, m), range(n_ref))

@@ -709,7 +709,12 @@ class TestNumericOptions:
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
     @pytest.mark.parametrize(
         "argv",
-        [["sweep-delta"], ["sweep-delta", "--mu", "0.3"], ["sweep-fidelity"]],
+        [
+            ["sweep-delta"],
+            ["sweep-delta", "--mu", "0.3"],
+            ["sweep-fidelity"],
+            ["sweep-delta", "--mu", "0.3", "--p", "0.5"],
+        ],
     )
     def test_bad_p_step_exit_2(self, tmp_path, capsys, argv, step):
         out = tmp_path / "grid.csv"
@@ -725,8 +730,13 @@ class TestNumericOptions:
             ["sweep-delta", "--mu-step", "0.1"],
             ["sweep-delta", "--mu", "0.3"],
             ["sweep-fidelity"],
+            ["sweep-delta", "--mu", "0.3", "--p", "0.5"],
         ],
-        "--mu-step": [["sweep-delta", "--p-step", "0.1"]],
+        "--mu-step": [
+            ["sweep-delta", "--p-step", "0.1"],
+            ["sweep-delta", "--mu", "0.3"],
+            ["sweep-delta", "--mu", "0.3", "--p", "0.5"],
+        ],
     }
 
     @settings(max_examples=60, deadline=None)

@@ -351,6 +351,20 @@ class TestRun:
         with pytest.raises(ValueError, match="outcome length does not match"):
             run(random_input(2, 49), CloneParams(p=0.5, n=2), outcome=BellOutcome.parse("PHI+"))
 
+    def test_foreign_channel_refused_before_the_walk(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("sender walk run with a foreign channel")
+
+        channel = build_channel(CloneParams(p=0.3, n=2))
+        monkeypatch.setattr(protocol, "_sender_walk", no_walk)
+        with pytest.raises(ValueError, match="channel was built for different params"):
+            run(
+                random_input(2, 50),
+                CloneParams(p=0.5, n=2),
+                outcome=BellOutcome.all_phi_plus(2),
+                channel=channel,
+            )
+
     def test_requires_normalized_input(self):
         params = CloneParams(p=0.5, n=2)
         bad = StateVector(np.array([1.0, 0, 0, 1.0], dtype=complex), 2)
@@ -648,9 +662,12 @@ class TestEntanglementCost:
             raise AssertionError("build_channel called for an oversize check")
 
         monkeypatch.setattr(protocol, "build_channel", no_channel)
-        # (n + n_ref) + 4n = 8 + 16 = 24 qubits
+        # n_ref + 5n = 4 + 20 = 24 qubits
         with pytest.raises(ValueError, match="register size 24 is outside the 20-qubit limit"):
             entanglement_cost_check(CloneParams(p=0.5, n=4))
+        # 30 + 150 = 180 qubits, refused before the 2^60 amplitudes of the default reference
+        with pytest.raises(ValueError, match="register size 180 is outside the 20-qubit limit"):
+            entanglement_cost_check(CloneParams(p=0.5, n=30))
 
     def test_outcome_independent(self):
         cost = entanglement_cost_check(
@@ -663,7 +680,7 @@ class TestEntanglementCost:
             raise AssertionError("build_channel called for an oversize check")
 
         monkeypatch.setattr(protocol, "build_channel", no_channel)
-        # (n + n_ref) + 4n = 13 + 8 = 21 qubits
+        # n_ref + 5n = 11 + 10 = 21 qubits
         wide = random_input(13, 47)
         with pytest.raises(ValueError, match="register size 21 is outside the 20-qubit limit"):
             entanglement_cost_check(CloneParams(p=0.5, n=2), input_state=wide)
