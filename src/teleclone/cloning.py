@@ -87,13 +87,25 @@ def _machine_support(d: int) -> tuple[np.ndarray, np.ndarray]:
     return index, rows
 
 
-def _machine_weights(params: CloneParams) -> np.ndarray:
-    """The amplitudes of _machine_support's terms, rounded as cloner_basis_state rounds them."""
+@functools.lru_cache(maxsize=32)
+def _machine_weights(params: CloneParams, divisor: float = 1.0) -> np.ndarray:
+    """The amplitudes of _machine_support's terms, rounded as cloner_basis_state
+    rounds them, then divided by `divisor`; read-only and cached for every run."""
     d = params.d
     shifted = d * (d - 1)
     weights = np.repeat(np.array([1.0, params.p, params.q], dtype=complex), [d, shifted, shifted])
     weights /= math.sqrt(params.normalization)
+    weights /= divisor  # exact for the default 1
+    weights.flags.writeable = False
     return weights
+
+
+def _machine_states(alphas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(rows, d^3) sums over j of alphas[:, j] * machine output j; one product per amplitude."""
+    index, j = _machine_support(alphas.shape[1])
+    states = np.zeros((len(alphas), alphas.shape[1] ** 3), dtype=complex)
+    states[:, index] = alphas[:, j] * weights
+    return states
 
 
 def target_state(alphas, params: CloneParams) -> StateVector:
@@ -101,16 +113,13 @@ def target_state(alphas, params: CloneParams) -> StateVector:
 
     This is the state the telecloning protocol delivers to the receivers;
     tracing it down to either clone register gives the closed-form clones.
-    Built in one scatter; the d outputs have disjoint supports.
+    Built in one scatter (_machine_states).
     """
     alphas = np.asarray(alphas, dtype=complex)
-    d = params.d
-    if alphas.size != d:
-        raise ValueError(f"expected {d} amplitudes, got {alphas.size}")
+    if alphas.size != params.d:
+        raise ValueError(f"expected {params.d} amplitudes, got {alphas.size}")
     _check_register_size(3 * params.n)
-    index, rows = _machine_support(d)
-    amps = np.zeros(d**3, dtype=complex)
-    amps[index] = alphas[rows] * _machine_weights(params)  # scaled first, then weighted by alpha_j
+    (amps,) = _machine_states(alphas.reshape(1, -1), _machine_weights(params))
     return StateVector._owned(amps, 3 * params.n)
 
 

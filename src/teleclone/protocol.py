@@ -7,11 +7,11 @@ states — for every one of the 4^n (uniformly likely) outcomes.
 
 The senders' Bell walk runs on the input and a label register K that
 stands in for the receivers, psi (x) sum_k |k>_{A'}|k>_K; its rows are
-then lifted once through the channel, |k>_K -> machine_state_k (_lift).
+then lifted by one scatter, |k>_K -> 2^(-n/2) machine_state_k (_lift).
 Every entry point passes one input gate (_checked_input), and every lifted
 row becomes its corrected final state in one step (_final), which run and
 evaluate_outcomes read out and entanglement_cost_check takes the entropy
-of.  The dense attach_input state, measured by measure_senders, is the oracle.
+of.  Only the dense oracle (attach_input) and the benchmark build the channel.
 
 Register layouts (big-endian; ref is entanglement_cost_check's reference):
   channel      (A', B, C, anc)           4n qubits
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloning import CloneParams, _machine_support, _machine_weights, target_state
+from .cloning import CloneParams, _machine_states, _machine_weights, target_state
 from .qstate import (
     _BELL_ORDER,
     BellElement,
@@ -102,7 +102,7 @@ class Correction:
 
 @dataclass(frozen=True)
 class ChannelState:
-    """The pre-shared channel 2^(-n/2) sum_k |k>_{A'} (x) machine_state_k."""
+    """The pre-shared channel 2^(-n/2) sum_k |k>_{A'} (x) machine_state_k (dense route only)."""
 
     state: StateVector
     params: CloneParams
@@ -117,10 +117,8 @@ def build_channel(params: CloneParams) -> ChannelState:
     """
     _check_register_size(4 * params.n)
     d = params.d
-    index, rows = _machine_support(d)
-    amps = np.zeros(d**4, dtype=complex)
-    amps[rows * d**3 + index] = _machine_weights(params) / math.sqrt(d)  # row k: |k>_{A'}
-    return ChannelState(StateVector._owned(amps, 4 * params.n), params)
+    amps = _machine_states(np.eye(d), _machine_weights(params, math.sqrt(d)))  # row k: |k>_{A'}
+    return ChannelState(StateVector._owned(amps.reshape(-1), 4 * params.n), params)
 
 
 def attach_input(psi: StateVector, channel: ChannelState) -> StateVector:
@@ -132,13 +130,13 @@ def attach_input(psi: StateVector, channel: ChannelState) -> StateVector:
     return tensor(psi, channel.state)
 
 
-def _walk_mode(num_pairs: int, outcome: BellOutcome | None, rng) -> dict:
-    """The _bell_walk keyword of a forced `outcome` or of one draw per pair from `rng`."""
+def _walk_mode(n: int, outcome: BellOutcome | None, rng, trials: int = 1) -> dict:
+    """The _bell_walk keyword of a forced `outcome` or of `trials` draws of a uniform per pair."""
     if (outcome is None) == (rng is None):
         raise ValueError("pass exactly one of outcome= (forced) or rng= (sampled)")
-    if outcome is not None and outcome.num_pairs != num_pairs:
+    if outcome is not None and outcome.num_pairs != n:
         raise ValueError("outcome length does not match the number of pairs")
-    return {"outcome": outcome.elements} if rng is None else {"draws": rng.random((1, num_pairs))}
+    return {"outcome": outcome.elements} if rng is None else {"draws": rng.random((trials, n))}
 
 
 def project_pairs(
@@ -275,7 +273,9 @@ class ProtocolTranscript:
 
 def _check_budget(n: int, n_ref: int = 0) -> None:
     """Refuse, before anything is allocated, a run whose dense oracle register
-    (A, ref, A', B, C, anc) of n_ref + 5n qubits is past the limit."""
+    (A, ref, A', B, C, anc) of n_ref + 5n qubits is past the limit (the walk holds
+    n_ref + 3n; the rule stays until evaluate_outcomes' 4^n x 8^n batch, 512 MiB at
+    n=5, has a bound of its own)."""
     _check_register_size(n_ref + 5 * n)
 
 
@@ -301,31 +301,32 @@ def _sender_walk(psi: StateVector, n: int, **mode) -> tuple:
     return _bell_walk(walked, m + 2 * n, [(i, m + i) for i in range(n)], **mode)
 
 
-def _lift(rows: np.ndarray, channel: ChannelState) -> np.ndarray:
-    """Walk rows on (ref, K) to (ref, B, C, anc), |k>_K -> channel row k; exact by linearity."""
-    d = channel.params.d
-    return (rows.reshape(-1, d) @ channel.state.amplitudes.reshape(d, -1)).reshape(len(rows), -1)
+def _lift(rows: np.ndarray, params: CloneParams) -> np.ndarray:
+    """Walk rows on (ref, K) to (ref, B, C, anc), |k>_K -> row k of build_channel(params)."""
+    d = params.d
+    weights = _machine_weights(params, math.sqrt(d))  # as build_channel rounds them
+    return _machine_states(rows.reshape(-1, d), weights).reshape(len(rows), -1)
 
 
-def _final(rows: np.ndarray, channel: ChannelState, frame) -> tuple:
+def _final(rows: np.ndarray, params: CloneParams, frame) -> tuple:
     """Outcome probability and corrected final state of each sender-walk row:
-    lifted through `channel`, gathered and signed by its `frame` row (_frame),
-    then normalized (its squared norm is 2^n times the probability)."""
+    lifted (_lift), gathered and signed by its `frame` row (_frame), then
+    normalized (its squared norm is 2^n times the probability)."""
     index, sign = frame
-    rows = _lift(rows, channel)
+    rows = _lift(rows, params)
     norms = (np.abs(rows) ** 2).sum(axis=1)
     final = np.take_along_axis(rows, index, axis=1)
     final *= sign / np.sqrt(norms)[:, None]  # the frame's signs, rows normalized
-    return norms / 2**channel.params.n, final
+    return norms / 2**params.n, final
 
 
-def _readout(psi: StateVector, channel: ChannelState, rows: np.ndarray, frame) -> tuple:
+def _readout(psi: StateVector, params: CloneParams, rows: np.ndarray, frame) -> tuple:
     """Probability, final state (_final), target overlap, F_B and F_C of walk
     rows; F_B (F_C) is the squared norm of conj(psi) contracted into the B (C)
     axis of the (B, C, anc) final state."""
-    d = channel.params.d
-    probs, final = _final(rows, channel, frame)
-    target = target_state(psi.amplitudes, channel.params).amplitudes
+    d = params.d
+    probs, final = _final(rows, params, frame)
+    target = target_state(psi.amplitudes, params).amplitudes
     overlap = np.abs(final @ target.conj()) ** 2
     bra = psi.amplitudes.conj()
     fidelity_b = (np.abs(bra @ final.reshape(-1, d, d * d)) ** 2).sum(axis=1)  # (row, B, C*anc)
@@ -341,25 +342,23 @@ def run(
     seed: int | None = None,
     channel: ChannelState | None = None,
 ) -> ProtocolTranscript:
-    """Full telecloning round: attach, measure, broadcast, correct, verify.
+    """Full telecloning round: sender walk, broadcast, lift, correct, verify.
 
     Pass either a forced `outcome` (deterministic, for tests) or an
-    explicit `seed` for sampled mode.  A prebuilt `channel` may be reused
-    across runs with the same params.  The measured row goes through the
-    same readout as every row of evaluate_outcomes.
+    explicit `seed` for sampled mode.  The measured row goes through the
+    same readout as every row of evaluate_outcomes.  No channel is built;
+    a `channel` passed in is not read, only refused if built for other params.
     """
     psi = _checked_input(psi, params.n)
     rng = np.random.default_rng(seed) if seed is not None else None
-    mode = _walk_mode(params.n, outcome, rng)  # checked before the channel is built
-    if channel is None:
-        channel = build_channel(params)
-    elif channel.params != params:
+    mode = _walk_mode(params.n, outcome, rng)
+    if channel is not None and channel.params != params:
         raise ValueError("channel was built for different params")
     rows, (elements,), _ = _sender_walk(psi, params.n, **mode)
     measured = BellOutcome(tuple(_BELL_ORDER[e] for e in elements))
     plan = correction_plan(measured)
     frame = _frame([_fold(plan, 3 * params.n)], 3 * params.n)
-    probs, final, overlap, fidelity_b, fidelity_c = _readout(psi, channel, rows, frame)
+    probs, final, overlap, fidelity_b, fidelity_c = _readout(psi, params, rows, frame)
     return ProtocolTranscript(
         params=params,
         outcome=measured,
@@ -383,20 +382,20 @@ def _pauli_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate_outcomes(
-    psi: StateVector, channel: ChannelState
+    psi: StateVector, params: CloneParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every forced outcome of one input in one batch, without calling run.
 
     Returns four arrays in BellOutcome.all_outcomes order: the outcome's
     probability, the corrected state's overlap |<target|final>|^2 with
     target_state, and the clone fidelities F_B and F_C, each what
-    run(psi, channel.params, outcome=..., channel=channel) reports, from
-    the same input check and readout.
+    run(psi, params, outcome=...) reports, from the same input check,
+    walk, lift and readout; no channel is built.
     """
-    n = channel.params.n
+    n = params.n
     psi = _checked_input(psi, n)
     rows, _, _ = _sender_walk(psi, n)
-    probs, _, overlap, fidelity_b, fidelity_c = _readout(psi, channel, rows, _pauli_frame(n))
+    probs, _, overlap, fidelity_b, fidelity_c = _readout(psi, params, rows, _pauli_frame(n))
     return probs, overlap, fidelity_b, fidelity_c
 
 
@@ -411,8 +410,8 @@ def sample_outcomes(
     psi = _checked_input(psi, params.n)
     if num_samples < 0:
         raise ValueError(f"num_samples must be nonnegative, got {num_samples}")
-    draws = np.random.default_rng(seed).random((num_samples, params.n))
-    _, elements, trials = _sender_walk(psi, params.n, draws=draws)
+    mode = _walk_mode(params.n, None, np.random.default_rng(seed), num_samples)
+    _, elements, trials = _sender_walk(psi, params.n, **mode)
     digits = np.array(elements, dtype=np.intp).reshape(-1, params.n)  # (0, n) for no draws
     index = digits @ 4 ** np.arange(params.n - 1, -1, -1)  # BellOutcome.index
     counts = np.bincount(index[trials], minlength=4**params.n)
@@ -451,5 +450,5 @@ def entanglement_cost_check(
     rows, _, _ = _sender_walk(psi, n, **_walk_mode(n, outcome, None))
     m = n_ref + 3 * n  # (ref, B, C, anc); the plan acts past the reference
     frame = _frame([_fold(correction_plan(outcome), m, n_ref)], m)
-    _, (final,) = _final(rows, build_channel(params), frame)
+    _, (final,) = _final(rows, params, frame)
     return entanglement_entropy(StateVector._owned(final, m), range(n_ref))

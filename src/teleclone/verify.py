@@ -217,8 +217,8 @@ def _group_channel(seed: int) -> GroupResult:
     return GroupResult("channel", tuple(checks))
 
 
-def protocol_deviations(psi, channel, outcomes, fidelities) -> tuple[float, float]:
-    """The listed forced outcomes of one input through `channel`.
+def protocol_deviations(psi, params: CloneParams, outcomes, fidelities) -> tuple[float, float]:
+    """The listed forced outcomes of one input, telecloned with `params`.
 
     All 4^n outcomes are evaluated in one batch (protocol.evaluate_outcomes);
     `outcomes` selects the rows that count, in any order.  Returns the worst
@@ -226,11 +226,11 @@ def protocol_deviations(psi, channel, outcomes, fidelities) -> tuple[float, floa
     two clones against `fidelities` = (F_B, F_C).
     """
     outcomes = list(outcomes)
-    n = channel.params.n
+    n = params.n
     if any(outcome.num_pairs != n for outcome in outcomes):
         raise ValueError(f"every outcome must list {n} Bell elements")
     rows = [outcome.index() for outcome in outcomes]
-    _, overlap, fidelity_b, fidelity_c = pt.evaluate_outcomes(psi, channel)
+    _, overlap, fidelity_b, fidelity_c = pt.evaluate_outcomes(psi, params)
     expected_b, expected_c = fidelities
     overlaps = 1.0 - overlap[rows]
     fids = np.abs(np.concatenate([fidelity_b[rows] - expected_b, fidelity_c[rows] - expected_c]))
@@ -240,7 +240,7 @@ def protocol_deviations(psi, channel, outcomes, fidelities) -> tuple[float, floa
 
 def outcome_probability_deviation(psi, params: CloneParams, expected: float) -> float:
     """Worst |P(outcome) - expected| over the 4^n outcomes; inf unless 4^n come back."""
-    probs, _, _, _ = pt.evaluate_outcomes(psi, pt.build_channel(params))
+    probs, _, _, _ = pt.evaluate_outcomes(psi, params)
     if len(probs) != 4**params.n:
         return float("inf")
     return _largest(np.abs(probs - expected))
@@ -299,24 +299,20 @@ def _group_protocol(seed: int) -> GroupResult:
     runs = []
     for n, inputs in ((2, 5), (3, 2)):
         params = CloneParams(p=0.35, n=n)
-        channel = pt.build_channel(params)
         for _ in range(inputs):
             psi = qs.StateVector.random(n, rng)
             outcomes = pt.BellOutcome.all_outcomes(n)
-            runs.append(protocol_deviations(psi, channel, outcomes, clone_fidelities(params)))
+            runs.append(protocol_deviations(psi, params, outcomes, clone_fidelities(params)))
     probs = []
     for n in (2, 3):
         psi = qs.StateVector.random(n, rng)
         probs.append(outcome_probability_deviation(psi, CloneParams(p=0.5, n=n), 0.25**n))
-    channel = pt.build_channel(CloneParams(p=0.25, n=2))
-    fids = [
-        pt.run(qs.StateVector.random(2, rng), channel.params, channel=channel,
-               outcome=pt.BellOutcome.all_phi_plus(2)).fidelity_b
-        for _ in range(20)
-    ]
+    params, phi = CloneParams(p=0.25, n=2), pt.BellOutcome.all_phi_plus(2)
+    fids = [pt.run(qs.StateVector.random(2, rng), params, outcome=phi).fidelity_b
+            for _ in range(20)]
     locc = all(locc_discipline(o) for o in pt.BellOutcome.all_outcomes(2))
     order = measurement_order_deviation(
-        qs.StateVector.random(2, rng), channel, pt.BellOutcome.parse("PSI-,PHI-")
+        qs.StateVector.random(2, rng), pt.build_channel(params), pt.BellOutcome.parse("PSI-,PHI-")
     )
     product = qs.tensor(qs.StateVector.random(2, rng), qs.StateVector.basis(0, 2))
     costs = [cost_deviation(CloneParams(p=p, n=2), 2.0) for p in (0.2, 0.5)]

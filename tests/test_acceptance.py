@@ -35,13 +35,12 @@ def test_criterion_1_werner_bound_reproduction():
     with criterion("criterion 1: symmetric n=2 clone fidelities 0.7 +- 1e-9, <10 s"):
         start = time.perf_counter()
         params = CloneParams(p=0.5, n=2)
-        channel = pt.build_channel(params)
         outcomes = list(pt.BellOutcome.all_outcomes(2))
         rng = np.random.default_rng(101)
         for i in range(100):
             psi = StateVector.random(2, rng)
             overlap_dev, fidelity_dev = verify.protocol_deviations(
-                psi, channel, [outcomes[i % 16]], (0.7, 0.7)
+                psi, params, [outcomes[i % 16]], (0.7, 0.7)
             )
             assert overlap_dev <= verify.EXACT_TOL
             assert fidelity_dev <= verify.EXACT_TOL
@@ -58,12 +57,11 @@ def test_criterion_2_protocol_correctness_all_outcomes():
         rng = np.random.default_rng(102)
         for n, p in ((2, 0.35), (3, 0.6)):
             params = CloneParams(p=p, n=n)
-            channel = pt.build_channel(params)
             outcomes = list(pt.BellOutcome.all_outcomes(n))
             for _ in range(100):
                 psi = StateVector.random(n, rng)
                 overlap_dev, fidelity_dev = verify.protocol_deviations(
-                    psi, channel, outcomes, clone_fidelities(params)
+                    psi, params, outcomes, clone_fidelities(params)
                 )
                 assert overlap_dev <= verify.EXACT_TOL
                 assert fidelity_dev <= verify.EXACT_TOL

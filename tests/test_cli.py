@@ -159,10 +159,10 @@ class TestRunCommand:
         assert "20-qubit limit" in proc.stderr
 
     def test_oversize_register_refused_before_the_channel(self, monkeypatch, capsys):
-        def no_channel(params):
-            raise AssertionError("build_channel called for an oversize run")
+        def no_walk(*args, **kwargs):
+            raise AssertionError("sender walk called for an oversize run")
 
-        monkeypatch.setattr(teleclone.protocol, "build_channel", no_channel)
+        monkeypatch.setattr(teleclone.protocol, "_sender_walk", no_walk)
         code = main(["run", "--n", "5", "--input", "ghz", "--seed", "1"])
         assert code == 2
         assert "20-qubit limit" in capsys.readouterr().err

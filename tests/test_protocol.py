@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from teleclone import protocol, qstate
+from teleclone import mixed, protocol, qstate
 from teleclone.cloning import CloneParams, clone_fidelities, cloner_basis_state, target_state
 from teleclone.protocol import (
     BellOutcome,
@@ -165,7 +165,7 @@ class TestMeasureSenders:
     @pytest.mark.parametrize("n", [2, 3])
     def test_outcome_distribution_uniform(self, n):
         params = CloneParams(p=0.3, n=n)
-        probs, _, _, _ = evaluate_outcomes(random_input(n, 35), build_channel(params))
+        probs, _, _, _ = evaluate_outcomes(random_input(n, 35), params)
         assert len(probs) == 4**n
         for value in probs:
             assert value == pytest.approx(0.25**n, abs=1e-9)
@@ -336,18 +336,18 @@ class TestRun:
         assert arr[0, 1] == pytest.approx(f_c, abs=1e-9)
 
     def test_oversize_register_refused_before_the_channel(self, monkeypatch):
-        def no_channel(params):
-            raise AssertionError("build_channel called for an oversize run")
+        def no_walk(*args, **kwargs):
+            raise AssertionError("sender walk called for an oversize run")
 
-        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        monkeypatch.setattr(protocol, "_sender_walk", no_walk)
         with pytest.raises(ValueError, match="register size 25 is outside the 20-qubit limit"):
             run(random_input(5, 46), CloneParams(p=0.5, n=5), outcome=BellOutcome.all_phi_plus(5))
 
     def test_outcome_length_checked_before_the_channel(self, monkeypatch):
-        def no_channel(params):
-            raise AssertionError("build_channel called for a malformed outcome")
+        def no_walk(*args, **kwargs):
+            raise AssertionError("sender walk called for a malformed outcome")
 
-        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        monkeypatch.setattr(protocol, "_sender_walk", no_walk)
         with pytest.raises(ValueError, match="outcome length does not match"):
             run(random_input(2, 49), CloneParams(p=0.5, n=2), outcome=BellOutcome.parse("PHI+"))
 
@@ -398,12 +398,11 @@ class TestEvaluateOutcomes:
     @pytest.mark.parametrize("p", [0.0, 0.35, 1.0])
     def test_every_outcome_matches_run(self, n, p):
         params = CloneParams(p=p, n=n)
-        channel = build_channel(params)
         psi = random_input(n, 60 + n)
-        columns = evaluate_outcomes(psi, channel)
+        columns = evaluate_outcomes(psi, params)
         assert all(column.shape == (4**n,) for column in columns)
         for k, outcome in enumerate(BellOutcome.all_outcomes(n)):
-            tr = run(psi, params, outcome=outcome, channel=channel)
+            tr = run(psi, params, outcome=outcome)
             expected = (tr.probability, tr.target_overlap, tr.fidelity_b, tr.fidelity_c)
             for column, value in zip(columns, expected):
                 assert abs(column[k] - value) <= 1e-12, (outcome, column[k], value)
@@ -419,7 +418,7 @@ class TestEvaluateOutcomes:
         psi = random_input(n, 90 + n)
         total = attach_input(psi, channel)
         target = target_state(psi.amplitudes, params)
-        columns = evaluate_outcomes(psi, channel)
+        columns = evaluate_outcomes(psi, params)
         for k, outcome in enumerate(BellOutcome.all_outcomes(n)):
             _, collapsed, prob = measure_senders(total, params, outcome=outcome)
             final = sequential_corrections(collapsed, correction_plan(outcome))
@@ -459,14 +458,12 @@ class TestEvaluateOutcomes:
             raise AssertionError("sender walk called for an oversize batch")
 
         monkeypatch.setattr(protocol, "_sender_walk", no_walk)
-        # the n=5 channel itself fits (20 qubits); a stand-in avoids building it
-        channel = protocol.ChannelState(StateVector.basis(0, 1), CloneParams(p=0.5, n=5))
         with pytest.raises(ValueError, match="register size 25 is outside the 20-qubit limit"):
-            evaluate_outcomes(random_input(5, 80), channel)
+            evaluate_outcomes(random_input(5, 80), CloneParams(p=0.5, n=5))
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="register size does not match"):
-            evaluate_outcomes(random_input(3, 81), build_channel(CloneParams(p=0.5, n=2)))
+            evaluate_outcomes(random_input(3, 81), CloneParams(p=0.5, n=2))
 
     @pytest.mark.parametrize(
         "amplitudes", [[1.0, 0, 0, 1.0], [1.0 + 2e-6, 0, 0, 0], [1.0, np.nan, 0, 0]]
@@ -475,15 +472,14 @@ class TestEvaluateOutcomes:
         def no_walk(psi, n, **mode):
             raise AssertionError("sender walk called for a bad input")
 
-        channel = build_channel(CloneParams(p=0.5, n=2))
         monkeypatch.setattr(protocol, "_sender_walk", no_walk)
         state = StateVector(np.array(amplitudes, dtype=complex), 2)
         with pytest.raises(ValueError, match="input state norm"):
-            evaluate_outcomes(state, channel)
+            evaluate_outcomes(state, CloneParams(p=0.5, n=2))
 
 
 class TestSenderWalk:
-    """The walk lifted through the channel, with the dense walk as the oracle."""
+    """The walk and its lift, with the dense walk and the dense channel as oracles."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_row_equals_the_dense_walk(self, n):
@@ -491,7 +487,7 @@ class TestSenderWalk:
         channel = build_channel(params)
         psi = random_input(n, 130 + n)
         rows, elements, _ = protocol._sender_walk(psi, n)
-        rows = protocol._lift(rows, channel)
+        rows = protocol._lift(rows, params)
         total = attach_input(psi, channel)
         pairs = [(i, n + i) for i in range(n)]
         dense_rows, dense_elements, _ = qstate._bell_walk(total.amplitudes, 5 * n, pairs)
@@ -505,15 +501,47 @@ class TestSenderWalk:
         # reference qubits after the senders ride through the walk and the
         # lift untouched: (A, ref) (x) channel, pairs (i, 2n + i)
         psi = with_reference(n, reference, 150)
-        channel = build_channel(CloneParams(p=0.35, n=n))
+        params = CloneParams(p=0.35, n=n)
+        channel = build_channel(params)
         rows, elements, _ = protocol._sender_walk(psi, n)
-        rows = protocol._lift(rows, channel)
+        rows = protocol._lift(rows, params)
         total = qstate.tensor(psi, channel.state)
         pairs = [(i, 2 * n + i) for i in range(n)]
         dense_rows, dense_elements, _ = qstate._bell_walk(total.amplitudes, 6 * n, pairs)
         assert rows.shape == dense_rows.shape == (4**n, 16**n)
         assert elements == dense_elements
         assert np.abs(rows - dense_rows).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, reference",
+        [(1, None), (2, None), (3, None), (4, None), (1, "maximal"), (2, "maximal"), (3, "maximal")],
+    )
+    def test_scatter_equals_the_channel_product_bit_for_bit(self, n, reference):
+        # the scatter writes the weights over sqrt(d) that build_channel
+        # writes, so every row rounds as the product by the dense channel
+        params = CloneParams(p=0.35, n=n)
+        psi = random_input(n, 160 + n) if reference is None else with_reference(n, reference, 160)
+        rows, _, _ = protocol._sender_walk(psi, n)
+        d = params.d
+        product = rows.reshape(-1, d) @ build_channel(params).state.amplitudes.reshape(d, -1)
+        lifted = protocol._lift(rows, params)
+        assert len(lifted) == 4**n
+        assert np.array_equal(lifted, product.reshape(lifted.shape))
+
+    def test_no_protocol_run_builds_the_channel(self, monkeypatch):
+        def no_channel(params):
+            raise AssertionError("build_channel called by a protocol run")
+
+        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        params = CloneParams(p=0.35, n=2)
+        psi = random_input(2, 165)
+        assert run(psi, params, outcome=BellOutcome.parse("PSI-,PHI+")).target_overlap > 1 - 1e-9
+        assert run(psi, params, seed=3).target_overlap > 1 - 1e-9
+        probs, _, _, _ = evaluate_outcomes(psi, params)
+        assert len(probs) == 16
+        mixed_input = mixed.MixedInput(np.array([0.7, 0.3]), 1)
+        assert len(mixed.teleclone_mixed(mixed_input, params)) == 4
+        assert entanglement_cost_check(params) == pytest.approx(2.0, abs=1e-6)
 
     @pytest.mark.parametrize("n, seeds", [(2, 300), (3, 300), (4, 100)])
     def test_seeded_run_equals_dense_measure_senders(self, n, seeds):
@@ -627,11 +655,11 @@ class TestOutcomeTableInputCheck:
     }
 
     @pytest.fixture(autouse=True)
-    def no_channel(self, monkeypatch):
-        def no_channel(params):
-            raise AssertionError("build_channel called for a bad input")
+    def no_walk(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sender walk called for a bad input")
 
-        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        monkeypatch.setattr(protocol, "_sender_walk", fail)
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     @pytest.mark.parametrize("amplitudes", [[1.0, np.nan, 0, 0], [3.0, 0, 0, 0]])
@@ -658,10 +686,10 @@ class TestEntanglementCost:
         assert cost == pytest.approx(0.0, abs=1e-6)
 
     def test_n4_reference_refused_before_the_channel(self, monkeypatch):
-        def no_channel(params):
-            raise AssertionError("build_channel called for an oversize check")
+        def no_walk(*args, **kwargs):
+            raise AssertionError("sender walk called for an oversize check")
 
-        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        monkeypatch.setattr(protocol, "_sender_walk", no_walk)
         # n_ref + 5n = 4 + 20 = 24 qubits
         with pytest.raises(ValueError, match="register size 24 is outside the 20-qubit limit"):
             entanglement_cost_check(CloneParams(p=0.5, n=4))
@@ -676,10 +704,10 @@ class TestEntanglementCost:
         assert cost == pytest.approx(2.0, abs=1e-6)
 
     def test_oversize_register_refused_before_the_channel(self, monkeypatch):
-        def no_channel(params):
-            raise AssertionError("build_channel called for an oversize check")
+        def no_walk(*args, **kwargs):
+            raise AssertionError("sender walk called for an oversize check")
 
-        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        monkeypatch.setattr(protocol, "_sender_walk", no_walk)
         # n_ref + 5n = 11 + 10 = 21 qubits
         wide = random_input(13, 47)
         with pytest.raises(ValueError, match="register size 21 is outside the 20-qubit limit"):
@@ -707,10 +735,10 @@ class TestEntanglementCost:
         ids=["nan", "zero", "norm3"],
     )
     def test_degenerate_input_refused_before_the_channel(self, monkeypatch, amplitudes):
-        def no_channel(params):
-            raise AssertionError("build_channel called for a bad input")
+        def no_walk(*args, **kwargs):
+            raise AssertionError("sender walk called for a bad input")
 
-        monkeypatch.setattr(protocol, "build_channel", no_channel)
+        monkeypatch.setattr(protocol, "_sender_walk", no_walk)
         state = StateVector(np.array(amplitudes, dtype=complex), 2)
         with pytest.raises(ValueError, match="input state norm .* is not 1 within 1e-6"):
             entanglement_cost_check(CloneParams(p=0.5, n=1), input_state=state)

@@ -155,7 +155,7 @@ class TestBellProject:
         params = CloneParams(p=0.3, n=n)
         psi = StateVector.random(n, np.random.default_rng(50 + n))
         channel = build_channel(params)
-        probs, _, _, _ = evaluate_outcomes(psi, channel)
+        probs, _, _, _ = evaluate_outcomes(psi, params)
         total = attach_input(psi, channel)
         assert len(probs) == 4**n
         for outcome, prob in zip(BellOutcome.all_outcomes(n), probs):

@@ -98,11 +98,10 @@ def test_bound_slack_is_exact_tol():
 def test_nan_deviation_is_never_skipped():
     # the builtin max(0.0, nan) returns 0.0; a NaN must fail the check instead
     params = CloneParams(p=0.5, n=2)
-    channel = build_channel(params)
     psi = StateVector.basis(1, 2)
     outcomes = [BellOutcome.parse("PHI+,PSI-"), BellOutcome.parse("PSI+,PHI-")]
     overlap_dev, fidelity_dev = verify.protocol_deviations(
-        psi, channel, outcomes, (float("nan"), 0.7)
+        psi, params, outcomes, (float("nan"), 0.7)
     )
     assert overlap_dev <= verify.EXACT_TOL
     assert not fidelity_dev <= verify.EXACT_TOL
@@ -129,18 +128,18 @@ def test_outcome_count_must_be_4_to_the_n(monkeypatch, change):
     # a missing or an extra row fails, even when every row reads 1/16
     rows = 15 if change == "drop" else 17
     monkeypatch.setattr(
-        "teleclone.protocol.evaluate_outcomes", lambda psi, channel: (np.full(rows, 1 / 16),) * 4
+        "teleclone.protocol.evaluate_outcomes", lambda psi, params: (np.full(rows, 1 / 16),) * 4
     )
     psi = StateVector.basis(0, 2)
     params = CloneParams(p=0.5, n=2)
     assert not verify.outcome_probability_deviation(psi, params, 1 / 16) <= verify.EXACT_TOL
 
 
-def per_outcome_deviations(psi, channel, outcomes, fidelities):
+def per_outcome_deviations(psi, params, outcomes, fidelities):
     """The route protocol_deviations replaced: one run per listed outcome."""
     overlaps, fids = [0.0], [0.0]
     for outcome in outcomes:
-        tr = pt.run(psi, channel.params, outcome=outcome, channel=channel)
+        tr = pt.run(psi, params, outcome=outcome)
         overlaps.append(1.0 - tr.target_overlap)
         fids += [abs(tr.fidelity_b - fidelities[0]), abs(tr.fidelity_c - fidelities[1])]
     return max(overlaps), max(fids)
@@ -150,36 +149,35 @@ def per_outcome_deviations(psi, channel, outcomes, fidelities):
 @pytest.mark.parametrize("select", ["all", "subset", "reversed"])
 def test_protocol_deviations_equal_the_per_outcome_route(n, select):
     params = CloneParams(p=0.35, n=n)
-    channel = build_channel(params)
     outcomes = list(BellOutcome.all_outcomes(n))
     outcomes = {"all": outcomes, "subset": outcomes[3::5], "reversed": outcomes[::-1]}[select]
     psi = StateVector.random(n, np.random.default_rng(90 + n))
     # expected fidelities off by 1e-6, so the fidelity deviations are not rounding noise
     expected = tuple(f + 1e-6 for f in clone_fidelities(params))
-    batch = verify.protocol_deviations(psi, channel, outcomes, expected)
-    oracle = per_outcome_deviations(psi, channel, outcomes, expected)
+    batch = verify.protocol_deviations(psi, params, outcomes, expected)
+    oracle = per_outcome_deviations(psi, params, outcomes, expected)
     np.testing.assert_allclose(batch, oracle, rtol=0, atol=1e-12)
 
 
 def test_protocol_deviations_select_their_rows(monkeypatch):
     # row k of a stand-in batch deviates by k: only the listed rows may count
     ks = np.arange(16.0)
-    monkeypatch.setattr(pt, "evaluate_outcomes", lambda psi, channel: (ks, 1.0 - ks, ks, -ks))
-    channel = build_channel(CloneParams(p=0.5, n=2))
+    monkeypatch.setattr(pt, "evaluate_outcomes", lambda psi, params: (ks, 1.0 - ks, ks, -ks))
+    params = CloneParams(p=0.5, n=2)
     outcomes = list(BellOutcome.all_outcomes(2))
     psi = StateVector.basis(0, 2)
-    assert verify.protocol_deviations(psi, channel, [outcomes[5], outcomes[2]], (0.0, 0.0)) == (
+    assert verify.protocol_deviations(psi, params, [outcomes[5], outcomes[2]], (0.0, 0.0)) == (
         5.0, 5.0,
     )
-    assert verify.protocol_deviations(psi, channel, outcomes[9:11], (0.0, 0.0)) == (10.0, 10.0)
-    assert verify.protocol_deviations(psi, channel, [], (0.0, 0.0)) == (0.0, 0.0)
+    assert verify.protocol_deviations(psi, params, outcomes[9:11], (0.0, 0.0)) == (10.0, 10.0)
+    assert verify.protocol_deviations(psi, params, [], (0.0, 0.0)) == (0.0, 0.0)
 
 
 def test_protocol_deviations_reject_a_wrong_length_outcome():
-    channel = build_channel(CloneParams(p=0.5, n=2))
     with pytest.raises(ValueError, match="2 Bell elements"):
         verify.protocol_deviations(
-            StateVector.basis(0, 2), channel, [BellOutcome.parse("PHI+")], (0.7, 0.7)
+            StateVector.basis(0, 2), CloneParams(p=0.5, n=2), [BellOutcome.parse("PHI+")],
+            (0.7, 0.7),
         )
 
 
