@@ -43,6 +43,7 @@ from .protocol import (
     BellOutcome,
     ChannelState,
     Correction,
+    ImpossibleOutcomeError,
     ProtocolTranscript,
     attach_input,
     build_channel,
@@ -50,7 +51,6 @@ from .protocol import (
     entanglement_cost_check,
     evaluate_outcomes,
     measure_senders,
-    project_pairs,
     sample_outcomes,
 )
 from .protocol import run as run_protocol
@@ -61,11 +61,9 @@ from .qstate import (
     PAULI_Z,
     BellElement,
     DensityMatrix,
-    ImpossibleOutcomeError,
     StateVector,
     apply_local,
     bell_probabilities,
-    bell_project,
     entanglement_entropy,
     partial_trace,
     reduced_density,
@@ -97,7 +95,6 @@ __all__ = [
     "apply_local",
     "attach_input",
     "bell_probabilities",
-    "bell_project",
     "build_channel",
     "clone_concurrence",
     "clone_fidelities",
@@ -118,7 +115,6 @@ __all__ = [
     "mu",
     "partial_trace",
     "physical_region",
-    "project_pairs",
     "purify",
     "reduced_density",
     "run_protocol",

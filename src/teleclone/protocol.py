@@ -11,7 +11,9 @@ then lifted by one scatter, |k>_K -> 2^(-n/2) machine_state_k (_lift).
 Every entry point passes one input gate (_checked_input), and every lifted
 row becomes its corrected final state in one step (_final), which run and
 evaluate_outcomes read out and entanglement_cost_check takes the entropy
-of.  Only the dense oracle (attach_input) and the benchmark build the channel.
+of.  No entry point builds the channel: the dense 5n-qubit route
+(build_channel, attach_input, measure_senders, apply_corrections) stays
+only as the stages the benchmark's traced replay looks up by name.
 
 Register layouts (big-endian; ref is entanglement_cost_check's reference):
   channel      (A', B, C, anc)           4n qubits
@@ -35,10 +37,17 @@ from .qstate import (
     _bell_walk,
     _check_position,
     _check_register_size,
-    _collapse,
     entanglement_entropy,
     tensor,
 )
+
+#: tolerance below which a forced measurement outcome counts as impossible
+IMPOSSIBLE_PROB = 1e-15
+
+
+class ImpossibleOutcomeError(ValueError):
+    """A projection was requested onto an outcome of (numerically) zero probability."""
+
 
 @dataclass(frozen=True)
 class BellOutcome:
@@ -50,6 +59,9 @@ class BellOutcome:
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError("outcome needs at least one element")
+        for element in self.elements:
+            if not isinstance(element, BellElement):
+                raise ValueError(f"outcome element {element!r} is not a BellElement")
 
     @property
     def num_pairs(self) -> int:
@@ -122,12 +134,8 @@ def build_channel(params: CloneParams) -> ChannelState:
 
 
 def attach_input(psi: StateVector, channel: ChannelState) -> StateVector:
-    """Join the unknown input with the channel: (A, A', B, C, anc)."""
-    if psi.num_qubits != channel.params.n:
-        raise ValueError(
-            f"input has {psi.num_qubits} qubits but the channel expects {channel.params.n}"
-        )
-    return tensor(psi, channel.state)
+    """Join the input, checked as run checks it, with the channel: (A, A', B, C, anc)."""
+    return tensor(_checked_input(psi, channel.params.n), channel.state)
 
 
 def _walk_mode(n: int, outcome: BellOutcome | None, rng, trials: int = 1) -> dict:
@@ -139,28 +147,6 @@ def _walk_mode(n: int, outcome: BellOutcome | None, rng, trials: int = 1) -> dic
     return {"outcome": outcome.elements} if rng is None else {"draws": rng.random((trials, n))}
 
 
-def project_pairs(
-    state: StateVector,
-    pairs,
-    *,
-    outcome: BellOutcome | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[BellOutcome, StateVector, float]:
-    """Bell-project the given qubit pairs (positions refer to `state`).
-
-    Exactly one of `outcome` (forced) or `rng` (sampled) must be given.
-    Sampled mode draws one rng.random() per pair and takes the first
-    element, in _BELL_ORDER, whose cumulative probability exceeds it.
-    Projections on disjoint pairs commute, so the order of `pairs` does
-    not change the result.  Returns the joint outcome, the collapsed
-    renormalized state on the remaining qubits (original relative order),
-    and the joint probability.
-    """
-    pairs = list(pairs)
-    collapsed, elements, prob = _collapse(state, pairs, **_walk_mode(len(pairs), outcome, rng))
-    return BellOutcome(tuple(_BELL_ORDER[e] for e in elements)), collapsed, prob
-
-
 def measure_senders(
     total: StateVector,
     params: CloneParams,
@@ -168,11 +154,25 @@ def measure_senders(
     outcome: BellOutcome | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[BellOutcome, StateVector, float]:
-    """Measure every sender pair (A_i, A'_i) of an attach_input state."""
-    if total.num_qubits != 5 * params.n:
+    """Bell-measure every sender pair (A_i, A'_i) of an attach_input state.
+
+    Exactly one of `outcome` (forced) or `rng` (sampled, one draw per pair:
+    _walk_mode) must be given.  Returns the joint outcome, the renormalized
+    state on (B, C, anc) and its probability.  A forced outcome below
+    IMPOSSIBLE_PROB leaves no state to renormalize: ImpossibleOutcomeError.
+    """
+    n = params.n
+    if total.num_qubits != 5 * n:
         raise ValueError("total state was not built by attach_input")
-    pairs = [(i, params.n + i) for i in range(params.n)]
-    return project_pairs(total, pairs, outcome=outcome, rng=rng)
+    pairs = [(i, n + i) for i in range(n)]
+    mode = _walk_mode(n, outcome, rng)
+    (row,), (elements,), _ = _bell_walk(total.amplitudes, 5 * n, pairs, **mode)
+    measured = BellOutcome(tuple(_BELL_ORDER[e] for e in elements))
+    prob = float(np.vdot(row, row).real) / 2**n
+    if prob < IMPOSSIBLE_PROB:
+        raise ImpossibleOutcomeError(f"outcome {measured} has probability {prob:.3e}")
+    row /= math.sqrt(prob * 2**n)
+    return measured, StateVector._owned(row, 3 * n), prob
 
 
 def correction_plan(outcome: BellOutcome) -> tuple:
@@ -232,14 +232,14 @@ def _frame(folds, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return index, (1.0 - 2.0 * (parity & 1)) * sign[:, None]
 
 
-def apply_corrections(state: StateVector, plan, offset: int = 0) -> StateVector:
-    """Apply a correction plan; `offset` shifts targets past spectator qubits.
+def apply_corrections(state: StateVector, plan) -> StateVector:
+    """Apply a correction plan.
 
     The plan's Pauli frame (_fold) acts as one gather and one sign: exactly
     what the plan's one-qubit Paulis, applied in turn, give.
     """
     m = state.num_qubits
-    index, sign = _frame([_fold(plan, m, offset)], m)
+    index, sign = _frame([_fold(plan, m)], m)
     return StateVector._owned(state.amplitudes[index[0]] * sign[0], m)
 
 

@@ -23,15 +23,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-#: tolerance below which a forced measurement outcome counts as impossible
-IMPOSSIBLE_PROB = 1e-15
-
 #: eigenvalues below this are treated as exact zeros in entropy sums
 ENTROPY_EIG_FLOOR = 1e-12
-
-
-class ImpossibleOutcomeError(ValueError):
-    """A projection was requested onto an outcome of (numerically) zero probability."""
 
 
 def _check_position(position: int, num_qubits: int) -> None:
@@ -326,31 +319,6 @@ def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=
         rows, m = branches.reshape(len(keys), 1 << (m - 2)), m - 2  # no -1: keys may be empty
         removed.extend(pair)
     return rows, elements, trials
-
-
-def _collapse(state: StateVector, pairs, **mode) -> tuple[StateVector, tuple, float]:
-    """The one row of a forced or sampled walk, renormalized; its elements; its probability."""
-    (row,), (elements,), _ = _bell_walk(state.amplitudes, state.num_qubits, pairs, **mode)
-    prob = float(np.vdot(row, row).real) / 2 ** len(pairs)
-    if prob < IMPOSSIBLE_PROB:  # no state to renormalize
-        labels = ",".join(_BELL_ORDER[e].label for e in elements)
-        raise ImpossibleOutcomeError(f"outcome {labels} on {pairs} has probability {prob:.3e}")
-    row /= math.sqrt(prob * 2 ** len(pairs))
-    return StateVector._owned(row, state.num_qubits - 2 * len(pairs)), elements, prob
-
-
-def bell_project(
-    state: StateVector, pair: tuple[int, int], element: BellElement
-) -> tuple[StateVector, float]:
-    """Project a qubit pair onto one Bell element.
-
-    Returns the renormalized post-measurement state on the remaining
-    qubits (original relative order preserved) and the outcome
-    probability.  Raises ImpossibleOutcomeError when the probability is
-    below IMPOSSIBLE_PROB, in which case there is no state to renormalize.
-    """
-    collapsed, _, prob = _collapse(state, [pair], outcome=[element])
-    return collapsed, prob
 
 
 def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> dict:

@@ -280,13 +280,14 @@ def locc_discipline(outcome) -> bool:
     ) and len(outcome.classical_bits()) == 4
 
 
-def measurement_order_deviation(psi, channel, outcome) -> float:
-    """n=2: measuring the sender pairs in reverse order changes nothing."""
-    total = pt.attach_input(psi, channel)
-    _, fwd, p_fwd = pt.project_pairs(total, [(0, 2), (1, 3)], outcome=outcome)
-    rev_outcome = pt.BellOutcome(outcome.elements[::-1])
-    _, rev, p_rev = pt.project_pairs(total, [(1, 3), (0, 2)], outcome=rev_outcome)
-    return _largest((abs(p_fwd - p_rev), 1.0 - fwd.fidelity_with(rev)))
+def measurement_order_deviation(psi, outcome) -> float:
+    """Walking the sender pairs of the (A, A', K) register in reverse order changes nothing."""
+    n = psi.num_qubits
+    (fwd,), _, _ = pt._sender_walk(psi, n, outcome=outcome.elements)
+    walked = np.kron(psi.amplitudes, np.eye(1 << n, dtype=complex).ravel())  # as _sender_walk
+    pairs = [(i, n + i) for i in reversed(range(n))]
+    (rev,), _, _ = qs._bell_walk(walked, 3 * n, pairs, outcome=outcome.elements[::-1])
+    return _max_abs(fwd, rev)
 
 
 def cost_deviation(params: CloneParams, ebits: float, input_state=None) -> float:
@@ -312,7 +313,7 @@ def _group_protocol(seed: int) -> GroupResult:
             for _ in range(20)]
     locc = all(locc_discipline(o) for o in pt.BellOutcome.all_outcomes(2))
     order = measurement_order_deviation(
-        qs.StateVector.random(2, rng), pt.build_channel(params), pt.BellOutcome.parse("PSI-,PHI-")
+        qs.StateVector.random(2, rng), pt.BellOutcome.parse("PSI-,PHI-")
     )
     product = qs.tensor(qs.StateVector.random(2, rng), qs.StateVector.basis(0, 2))
     costs = [cost_deviation(CloneParams(p=p, n=2), 2.0) for p in (0.2, 0.5)]

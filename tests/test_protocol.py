@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -16,11 +17,12 @@ from teleclone.protocol import (
     entanglement_cost_check,
     evaluate_outcomes,
     measure_senders,
-    project_pairs,
     run,
     sample_outcomes,
 )
-from teleclone.qstate import PAULI_X, PAULI_Z, StateVector
+from teleclone.qstate import BellElement, StateVector
+
+from oracle import apply_plan, measure_pairs, sender_pairs
 
 
 #: n -> (p, the outcomes run(psi, CloneParams(p, n), seed=s) draws for
@@ -70,15 +72,6 @@ def with_reference(n, reference, seed):
     return StateVector(amps, 2 * n)
 
 
-def sequential_corrections(state, plan, offset=0):
-    """Reference route: every Pauli of the plan applied in turn by apply_local."""
-    ops = {"x": PAULI_X, "z": PAULI_Z}
-    for correction in plan:
-        for position in correction.targets:
-            state = qstate.apply_local(state, ops[correction.op], offset + position)
-    return state
-
-
 class TestChannel:
     def test_amplitudes_match_direct_assembly_n2(self):
         params = CloneParams(p=0.5, n=2)
@@ -123,8 +116,16 @@ class TestAttachInput:
         assert abs(total.norm - 1.0) < 1e-12
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="input register size does not match n=2"):
             attach_input(random_input(1, 32), build_channel(CloneParams(p=0.5, n=2)))
+
+    @pytest.mark.parametrize(
+        "amplitudes", [[2.0, 0, 0, 0], [1.0, np.nan, 0, 0]], ids=["norm2", "nan"]
+    )
+    def test_input_passes_runs_norm_check(self, amplitudes):
+        state = StateVector(np.array(amplitudes, dtype=complex), 2)
+        with pytest.raises(ValueError, match="input state norm"):
+            attach_input(state, build_channel(CloneParams(p=0.5, n=2)))
 
 
 class TestMeasureSenders:
@@ -185,25 +186,46 @@ class TestMeasureSenders:
             measure_senders(total, params)
 
     def test_impossible_forced_outcome_raises(self):
-        # two Bell pairs: PHI+ on the first, PSI- on the second has joint
-        # probability 0, so there is no state to renormalize
-        bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), 2)
-        pairs = qstate.tensor(bell, bell)
-        with pytest.raises(qstate.ImpossibleOutcomeError, match="PHI\\+,PSI-"):
-            project_pairs(pairs, [(0, 1), (2, 3)], outcome=BellOutcome.parse("PHI+,PSI-"))
-        _, _, prob = project_pairs(pairs, [(0, 1), (2, 3)], outcome=BellOutcome.all_phi_plus(2))
-        assert prob == pytest.approx(1.0, abs=1e-12)
+        # on |0...0> (10 qubits, n=2) each sender pair (A_i, A'_i) is |00>:
+        # a PSI element has probability 0, so there is no state to renormalize
+        params = CloneParams(p=0.5, n=2)
+        basis = StateVector.basis(0, 10)
+        with pytest.raises(protocol.ImpossibleOutcomeError, match="PHI\\+,PSI-"):
+            measure_senders(basis, params, outcome=BellOutcome.parse("PHI+,PSI-"))
+        _, _, prob = measure_senders(basis, params, outcome=BellOutcome.parse("PHI-,PHI+"))
+        assert prob == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_forced_outcome_equals_the_oracle(self, n):
+        params = CloneParams(p=0.45, n=n)
+        total = attach_input(random_input(n, 190 + n), build_channel(params))
+        for outcome in BellOutcome.all_outcomes(n):
+            measured, collapsed, prob = measure_senders(total, params, outcome=outcome)
+            _, expected, expected_prob = measure_pairs(total, sender_pairs(n), outcome=outcome)
+            assert measured == outcome
+            assert abs(prob - expected_prob) <= 1e-12
+            assert np.abs(collapsed.amplitudes - expected.amplitudes).max() <= 1e-12
 
     def test_measurement_order_invariance(self):
+        # measure_senders' pair order against the oracle's reversed one
         params = CloneParams(p=0.5, n=2)
         total = attach_input(random_input(2, 38), build_channel(params))
         outcome = BellOutcome.parse("PSI+,PHI-")
-        _, fwd, p_fwd = project_pairs(total, [(0, 2), (1, 3)], outcome=outcome)
-        _, rev, p_rev = project_pairs(
-            total, [(1, 3), (0, 2)], outcome=BellOutcome(outcome.elements[::-1])
+        _, fwd, p_fwd = measure_senders(total, params, outcome=outcome)
+        _, rev, p_rev = measure_pairs(
+            total, sender_pairs(2)[::-1], outcome=BellOutcome(outcome.elements[::-1])
         )
         assert p_fwd == pytest.approx(p_rev, abs=1e-12)
         assert fwd.fidelity_with(rev) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBellOutcome:
+    @pytest.mark.parametrize(
+        "elements, bad", [(("PHI+", "PHI+"), "'PHI\\+'"), ((BellElement.PHI_PLUS, 0), "0")]
+    )
+    def test_refuses_anything_but_bell_elements(self, elements, bad):
+        with pytest.raises(ValueError, match=f"outcome element {bad} is not a BellElement"):
+            BellOutcome(elements)
 
 
 class TestCorrectionPlan:
@@ -249,17 +271,19 @@ class TestCorrectionPlan:
 class TestPauliFrame:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_sequential_route_for_every_outcome(self, n):
-        # two spectator qubits in front, so offset=2 addresses the same
-        # (B, C, anc) block; forward and reversed plans, bit for bit
+        # two spectator qubits behind the (B, C, anc) block; forward and
+        # reversed plans, bit for bit, and folded past two qubits in front
         state = random_input(3 * n + 2, 50 + n)
         for outcome in BellOutcome.all_outcomes(n):
             plan = correction_plan(outcome)
             for ordered in (plan, plan[::-1]):
-                for offset in (0, 2):
-                    np.testing.assert_array_equal(
-                        apply_corrections(state, ordered, offset=offset).amplitudes,
-                        sequential_corrections(state, ordered, offset).amplitudes,
-                    )
+                np.testing.assert_array_equal(
+                    apply_corrections(state, ordered).amplitudes,
+                    apply_plan(state, ordered).amplitudes,
+                )
+                shifted = [Correction(c.op, c.pair, tuple(2 + t for t in c.targets))
+                           for c in ordered]
+                assert protocol._fold(ordered, 3 * n + 2, 2) == protocol._fold(shifted, 3 * n + 2)
 
     def test_z_before_x_flips_the_global_sign(self):
         plan = correction_plan(BellOutcome.parse("PSI-"))
@@ -275,18 +299,17 @@ class TestPauliFrame:
         state = random_input(2, 57)
         out = apply_corrections(state, plan)
         np.testing.assert_array_equal(out.amplitudes, -state.amplitudes)
-        np.testing.assert_array_equal(
-            out.amplitudes, sequential_corrections(state, plan).amplitudes
-        )
+        np.testing.assert_array_equal(out.amplitudes, apply_plan(state, plan).amplitudes)
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown correction op"):
             apply_corrections(random_input(2, 58), [Correction("y", 0, (0,))])
 
     def test_position_out_of_range(self):
-        plan = correction_plan(BellOutcome.parse("PSI+,PHI+"))
-        with pytest.raises(ValueError, match="out of range"):
-            apply_corrections(random_input(6, 55), plan, offset=2)
+        # the x triple of pair 1 reaches position 5 of a 5-qubit state
+        plan = correction_plan(BellOutcome.parse("PHI+,PSI+"))
+        with pytest.raises(ValueError, match="qubit position 5 out of range"):
+            apply_corrections(random_input(5, 55), plan)
 
     def test_result_is_read_only(self):
         plan = correction_plan(BellOutcome.parse("PSI-,PHI-"))
@@ -411,8 +434,8 @@ class TestEvaluateOutcomes:
     @pytest.mark.parametrize("p", [0.0, 0.35, 1.0])
     def test_every_outcome_matches_an_oracle_of_public_primitives(self, n, p):
         # run and the batch share one readout, so check the batch against a
-        # route through neither: forced measure_senders, one Pauli at a time,
-        # reduced_density with state_fidelity, and target_state's overlap
+        # route through neither: the dense oracle's projection, one Pauli at a
+        # time, reduced_density with state_fidelity, and target_state's overlap
         params = CloneParams(p=p, n=n)
         channel = build_channel(params)
         psi = random_input(n, 90 + n)
@@ -420,8 +443,8 @@ class TestEvaluateOutcomes:
         target = target_state(psi.amplitudes, params)
         columns = evaluate_outcomes(psi, params)
         for k, outcome in enumerate(BellOutcome.all_outcomes(n)):
-            _, collapsed, prob = measure_senders(total, params, outcome=outcome)
-            final = sequential_corrections(collapsed, correction_plan(outcome))
+            _, collapsed, prob = measure_pairs(total, sender_pairs(n), outcome=outcome)
+            final = apply_plan(collapsed, correction_plan(outcome))
             rho_b = qstate.reduced_density(final, range(n))
             rho_c = qstate.reduced_density(final, range(n, 2 * n))
             expected = (
@@ -478,8 +501,17 @@ class TestEvaluateOutcomes:
             evaluate_outcomes(state, CloneParams(p=0.5, n=2))
 
 
+def oracle_rows(total, n, n_ref=0):
+    """Every outcome's projection of a dense state by the oracle, scaled as a walk row."""
+    rows = []
+    for outcome in BellOutcome.all_outcomes(n):
+        _, state, prob = measure_pairs(total, sender_pairs(n, n_ref), outcome=outcome)
+        rows.append(state.amplitudes * np.sqrt(prob * 2**n))
+    return np.array(rows)
+
+
 class TestSenderWalk:
-    """The walk and its lift, with the dense walk and the dense channel as oracles."""
+    """The walk and its lift, with the dense oracle and the dense channel as references."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_row_equals_the_dense_walk(self, n):
@@ -488,11 +520,9 @@ class TestSenderWalk:
         psi = random_input(n, 130 + n)
         rows, elements, _ = protocol._sender_walk(psi, n)
         rows = protocol._lift(rows, params)
-        total = attach_input(psi, channel)
-        pairs = [(i, n + i) for i in range(n)]
-        dense_rows, dense_elements, _ = qstate._bell_walk(total.amplitudes, 5 * n, pairs)
+        dense_rows = oracle_rows(attach_input(psi, channel), n)
         assert rows.shape == dense_rows.shape == (4**n, 8**n)
-        assert elements == dense_elements
+        assert elements == list(itertools.product(range(4), repeat=n))  # all_outcomes order
         assert np.abs(rows - dense_rows).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -505,11 +535,9 @@ class TestSenderWalk:
         channel = build_channel(params)
         rows, elements, _ = protocol._sender_walk(psi, n)
         rows = protocol._lift(rows, params)
-        total = qstate.tensor(psi, channel.state)
-        pairs = [(i, 2 * n + i) for i in range(n)]
-        dense_rows, dense_elements, _ = qstate._bell_walk(total.amplitudes, 6 * n, pairs)
+        dense_rows = oracle_rows(qstate.tensor(psi, channel.state), n, n_ref=n)
         assert rows.shape == dense_rows.shape == (4**n, 16**n)
-        assert elements == dense_elements
+        assert elements == list(itertools.product(range(4), repeat=n))
         assert np.abs(rows - dense_rows).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -545,17 +573,28 @@ class TestSenderWalk:
 
     @pytest.mark.parametrize("n, seeds", [(2, 300), (3, 300), (4, 100)])
     def test_seeded_run_equals_dense_measure_senders(self, n, seeds):
+        # run and dense measure_senders share _walk_mode and the walk, so both
+        # are checked against the oracle, which draws and picks on its own
         params = CloneParams(p=0.6, n=n)
         channel = build_channel(params)
         psi = random_input(n, 140 + n)
         total = attach_input(psi, channel)
         for s in range(seeds):
             tr = run(psi, params, seed=s, channel=channel)
-            outcome, collapsed, prob = measure_senders(total, params, rng=np.random.default_rng(s))
-            assert tr.outcome == outcome, s
-            assert abs(tr.probability - prob) <= 1e-12, s
-            final = apply_corrections(collapsed, correction_plan(outcome))
-            assert np.abs(tr.final_state.amplitudes - final.amplitudes).max() <= 1e-12, s
+            outcome, collapsed, prob = measure_pairs(
+                total, sender_pairs(n), rng=np.random.default_rng(s)
+            )
+            final = apply_plan(collapsed, correction_plan(outcome))
+            measured, dense, dense_prob = measure_senders(
+                total, params, rng=np.random.default_rng(s)
+            )
+            for got, got_prob, got_state in (
+                (tr.outcome, tr.probability, tr.final_state),
+                (measured, dense_prob, apply_corrections(dense, correction_plan(measured))),
+            ):
+                assert got == outcome, s
+                assert abs(got_prob - prob) <= 1e-12, s
+                assert np.abs(got_state.amplitudes - final.amplitudes).max() <= 1e-12, s
 
 
 class TestSampling:
@@ -722,9 +761,8 @@ class TestEntanglementCost:
         psi = with_reference(n, reference, 170)
         outcome = BellOutcome.parse(",".join(["PSI-", "PHI-", "PSI+"][:n]))
         total = qstate.tensor(psi, build_channel(params).state)
-        pairs = [(i, 2 * n + i) for i in range(n)]
-        measured, collapsed, _ = project_pairs(total, pairs, outcome=outcome)
-        final = apply_corrections(collapsed, correction_plan(measured), offset=n)
+        _, collapsed, _ = measure_pairs(total, sender_pairs(n, n_ref=n), outcome=outcome)
+        final = apply_plan(collapsed, correction_plan(outcome), offset=n)
         expected = qstate.entanglement_entropy(final, range(n))
         cost = entanglement_cost_check(params, input_state=psi, outcome=outcome)
         assert abs(cost - expected) <= 1e-12

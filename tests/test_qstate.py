@@ -7,27 +7,28 @@ from hypothesis import strategies as st
 
 from teleclone import qstate
 from teleclone.cloning import CloneParams, cloner_basis_state
-from teleclone.protocol import BellOutcome, attach_input, build_channel, evaluate_outcomes
+from teleclone.protocol import (
+    BellOutcome,
+    attach_input,
+    build_channel,
+    evaluate_outcomes,
+    measure_senders,
+)
 from teleclone.qstate import (
     PAULI_X,
     PAULI_Z,
     BellElement,
     DensityMatrix,
-    ImpossibleOutcomeError,
     StateVector,
 )
+
+from oracle import measure_pairs, sender_pairs, tensordot_residual
 
 RT2 = 1 / np.sqrt(2)
 
 
 def bell_state() -> StateVector:
     return StateVector.from_amplitudes([RT2, 0, 0, RT2])
-
-
-def tensordot_residual(state: StateVector, pair, element: BellElement) -> np.ndarray:
-    """Reference <element|_pair psi by a full-state contraction (unnormalized)."""
-    psi = state.amplitudes.reshape([2] * state.num_qubits)
-    return np.tensordot(element.tensor().conj(), psi, axes=([0, 1], list(pair))).reshape(-1)
 
 
 def random_density(num_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -71,10 +72,11 @@ class TestOwnership:
         assert state.amplitudes.flags.writeable is False
 
     def test_internal_results_are_read_only(self):
-        rng = np.random.default_rng(2)
-        total = qstate.tensor(StateVector.random(2, rng), StateVector.random(2, rng))
-        residual, _ = qstate.bell_project(total, (0, 2), BellElement.PHI_PLUS)
-        for state in (total, residual):
+        params = CloneParams(p=0.5, n=1)
+        psi = StateVector.random(1, np.random.default_rng(2))
+        total = attach_input(psi, build_channel(params))
+        _, collapsed, _ = measure_senders(total, params, outcome=BellOutcome.parse("PSI-"))
+        for state in (total, collapsed):
             with pytest.raises(ValueError):
                 state.amplitudes[0] = 1.0
 
@@ -111,15 +113,15 @@ class TestApplyLocal:
 
 
 class TestBellProject:
+    """Bell projections of one pair (bell_probabilities) and of the sender pairs (the batch)."""
+
     def test_self_projection(self):
-        residual, prob = qstate.bell_project(bell_state(), (0, 1), BellElement.PHI_PLUS)
-        assert prob == pytest.approx(1.0, abs=1e-12)
-        assert residual.num_qubits == 0
-        assert abs(residual.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+        probs = qstate.bell_probabilities(bell_state(), (0, 1))
+        assert list(probs.values()) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_orthogonal_outcome_impossible(self):
-        with pytest.raises(ImpossibleOutcomeError):
-            qstate.bell_project(StateVector.basis(0, 2), (0, 1), BellElement.PSI_PLUS)
+        probs = qstate.bell_probabilities(StateVector.basis(0, 2), (0, 1))
+        assert probs[BellElement.PSI_PLUS] == probs[BellElement.PSI_MINUS] == 0.0
 
     def test_completeness(self):
         rng = np.random.default_rng(3)
@@ -129,8 +131,8 @@ class TestBellProject:
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_same_position_rejected(self):
-        with pytest.raises(ValueError):
-            qstate.bell_project(bell_state(), (0, 0), BellElement.PHI_PLUS)
+        with pytest.raises(ValueError, match="distinct"):
+            qstate.bell_probabilities(bell_state(), (0, 0))
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 6])
     def test_matches_tensordot_reference(self, num_qubits):
@@ -138,20 +140,16 @@ class TestBellProject:
         state = StateVector.random(num_qubits, rng)
         for i, j in itertools.permutations(range(num_qubits), 2):
             probs = qstate.bell_probabilities(state, (i, j))
-            for element in BellElement:
+            rows, _, _ = qstate._bell_walk(state.amplitudes, num_qubits, [(i, j)])
+            for element, row in zip(BellElement, rows):
                 reference = tensordot_residual(state, (i, j), element)
                 expected = float(np.vdot(reference, reference).real)
-                collapsed, prob = qstate.bell_project(state, (i, j), element)
-                assert abs(prob - expected) <= 1e-12
                 assert abs(probs[element] - expected) <= 1e-12
-                np.testing.assert_allclose(
-                    collapsed.amplitudes * np.sqrt(prob), reference, rtol=0, atol=1e-12
-                )
+                np.testing.assert_allclose(row / np.sqrt(2), reference, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_outcome_probabilities_match_tensordot_reference(self, n):
-        # project the sender pairs one after another with the reference
-        # contraction; the pair (A_k, A'_k) sits at (0, n - k) by then
+        # project the sender pairs one after another with the reference contraction
         params = CloneParams(p=0.3, n=n)
         psi = StateVector.random(n, np.random.default_rng(50 + n))
         channel = build_channel(params)
@@ -159,11 +157,8 @@ class TestBellProject:
         total = attach_input(psi, channel)
         assert len(probs) == 4**n
         for outcome, prob in zip(BellOutcome.all_outcomes(n), probs):
-            state = total
-            for k, element in enumerate(outcome.elements):
-                residual = tensordot_residual(state, (0, n - k), element)
-                state = StateVector(residual, state.num_qubits - 2)
-            assert abs(prob - state.norm**2) <= 1e-12
+            _, _, expected = measure_pairs(total, sender_pairs(n), outcome=outcome)
+            assert abs(prob - expected) <= 1e-12
 
     def test_elements_orthonormal(self):
         vectors = [e.tensor().reshape(-1) for e in BellElement]
