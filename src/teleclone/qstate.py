@@ -224,6 +224,8 @@ class BellElement(Enum):
 
 #: PHI+, PHI-, PSI+, PSI-: outcome enumeration and sampling order
 _BELL_ORDER = tuple(BellElement)
+#: the signs of _bell_weights' partner overlaps: + for the PLUS elements
+_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -245,36 +247,35 @@ def apply_local(state: StateVector, op: np.ndarray, target: int) -> StateVector:
     return StateVector(out.reshape(-1), state.num_qubits)
 
 
-def _pair_blocks(amps: np.ndarray, num_qubits: int, pair: tuple[int, int]) -> list:
-    """The four (a_i, a_j) = 00, 01, 10, 11 sub-blocks of (batch, 2^m) amplitudes.
+def _pair_blocks(amps: np.ndarray, num_qubits: int, pair: tuple[int, int]) -> np.ndarray:
+    """(rows, 2^hi, 2, 2^mid, 2, 2^lo) view (no copy) of (rows, 2^m) amplitudes.
 
-    Viewing the array as (batch, 2^hi, 2, 2^mid, 2, 2^lo), with hi, mid, lo
-    the qubits before, between and after the pair, each block is a strided
-    view (no copy) that keeps the other qubits in their relative order.
+    hi, mid and lo are the qubits before, between and after the pair, and
+    axes 2 and 4 its a_i and a_j (swapped when i > j), so view[:, :, a, :, b]
+    is the (a_i, a_j) = ab block b_ab, which keeps the other qubits in their
+    relative order.
     """
     i, j = pair
     first, last = sorted(pair)
     view = amps.reshape(
         len(amps), 1 << first, 2, 1 << (last - first - 1), 2, 1 << (num_qubits - last - 1)
     )
-    if i > j:
-        view = view.swapaxes(2, 4)
-    return [view[:, :, a, :, b, :] for a in (0, 1) for b in (0, 1)]
+    return view.swapaxes(2, 4) if i > j else view
 
 
-def _bell_weights(blocks: list) -> np.ndarray:
-    """(rows, 4) |b0 + b3|^2, |b0 - b3|^2, |b1 + b2|^2, |b1 - b2|^2, twice each Bell weight.
+def _bell_weights(view: np.ndarray) -> np.ndarray:
+    """(rows, 4) |b00 +/- b11|^2, then |b01 +/- b10|^2: twice each Bell weight, PHI+ to PSI-.
 
-    Six reductions of the float views (four norms, two real cross terms), no temporary.
+    Two batched reductions of a _pair_blocks view's float64 view, with no
+    copy and no per-row loop: the four block norms |b_ab|^2, and the real
+    overlaps Re<b00, b11> and Re<b01, b10> of the a_i = 0 blocks with their
+    partners (a_j reversed).
     """
-    f = [block.view(np.float64) for block in blocks]
-
-    def dot(a, b):  # row by row: a scalar einsum needs no buffer, a batched one does
-        return np.array([np.einsum("hml,hml->", x, y) for x, y in zip(f[a], f[b])])
-
-    phi, psi = dot(0, 0) + dot(3, 3), dot(1, 1) + dot(2, 2)
-    phi_x, psi_x = 2 * dot(0, 3), 2 * dot(1, 2)
-    return np.stack([phi + phi_x, phi - phi_x, psi + psi_x, psi - psi_x], axis=1)
+    f = view.view(np.float64)
+    norms = np.einsum("rhambl,rhambl->rab", f, f)
+    same = norms[:, 0] + norms[:, 1, ::-1]  # |b00|^2 + |b11|^2, |b01|^2 + |b10|^2
+    cross = 2 * np.einsum("rhmbl,rhmbl->rb", f[:, :, 0], f[:, :, 1, :, ::-1])
+    return (same[:, :, None] + cross[:, :, None] * _PLUS_MINUS).reshape(-1, 4)
 
 
 def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=None):
@@ -283,11 +284,12 @@ def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=
     Forced (`outcome`, a BellElement per pair) keeps the named branch; sampled
     (`draws`, (trials, pairs) uniforms) keeps, per trial, the first element in
     BellElement order whose cumulative conditional probability exceeds its
-    draw; with neither, all 4^k branches, in BellOutcome.all_outcomes order.
-    Only kept branches are formed, each once.  Returns the rows (sqrt(2)^k
-    times the projected state: squared norm / 2^k is the joint probability),
-    each row's k element indices (a tuple per row) and, if sampled, each
-    trial's row.
+    draw, weighed by _bell_weights; with neither, all 4^k branches, in
+    BellOutcome.all_outcomes order.  Only kept branches are formed, each once,
+    from the step's _pair_blocks view.  Returns the rows (sqrt(2)^k times the
+    projected state: squared norm / 2^k is the joint probability), each row's
+    k element indices (a tuple per row) and, if sampled, each trial's row;
+    rows are kept in ascending (previous row, element) order.
     """
     positions = [q for pair in pairs for q in pair]
     for q in positions:
@@ -297,24 +299,30 @@ def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=
     rows, m, removed, elements = amps[None, :], num_qubits, [], [()]
     trials = np.zeros(0 if draws is None else len(draws), dtype=np.intp)
     for step, pair in enumerate(pairs):
-        blocks = _pair_blocks(rows, m, [q - sum(r < q for r in removed) for q in pair])
+        view = _pair_blocks(rows, m, [q - sum(r < q for r in removed) for q in pair])
         if outcome is not None:
             keys = [_BELL_ORDER.index(outcome[step])]
         elif draws is not None:
-            weights = np.maximum(_bell_weights(blocks), 0.0)  # no roundoff below 0
-            cumulative = np.cumsum(weights, axis=1) / weights.sum(axis=1, keepdims=True)
+            weights = np.maximum(_bell_weights(view), 0.0)  # no roundoff below 0
+            cumulative = weights.cumsum(1) / weights.sum(1)[:, None]
             # the first element whose cumulative probability exceeds the draw
             # is the count of the first three at or below it (they ascend)
-            chosen = sum(draws[:, step] >= bound[trials] for bound in cumulative[:, :3].T)
-            keys, trials = np.unique(4 * trials + chosen, return_inverse=True)
+            code, draw = 4 * trials, draws[:, step]
+            for bound in cumulative.T[:3]:
+                code += draw >= bound.take(trials)
+            # group the trials by kept (row, element) key without a sort: the
+            # keys ascend, and a trial's new row is the rank of its key
+            seen = np.bincount(code, minlength=4 * len(rows)).astype(bool)
+            keys, trials = seen.nonzero()[0].tolist(), (seen.cumsum() - 1).take(code)
         else:
             keys = range(4 * len(rows))
+        blocks = [view[:, :, a, :, b, :] for a in (0, 1) for b in (0, 1)]  # b00, b01, b10, b11
         branches = np.empty((len(keys),) + blocks[0].shape[1:], dtype=complex)
         for branch, key in zip(branches, keys):
-            row, e = divmod(key, 4)  # PHI+/-: b0 +/- b3; PSI+/-: b1 +/- b2
+            row, e = divmod(key, 4)  # PHI+/-: b00 +/- b11; PSI+/-: b01 +/- b10
             combine = np.subtract if e % 2 else np.add
             combine(blocks[e // 2][row], blocks[3 - e // 2][row], out=branch)
-        del blocks  # the last view of the previous rows: free them first
+        del view, blocks  # the last views of the previous rows: free them first
         elements = [elements[key // 4] + (key % 4,) for key in keys]
         rows, m = branches.reshape(len(keys), 1 << (m - 2)), m - 2  # no -1: keys may be empty
         removed.extend(pair)

@@ -120,6 +120,34 @@ def uhlmann_symmetry_deviation(r1, r2) -> float:
     return abs(qs.uhlmann_fidelity(r1, r2) - qs.uhlmann_fidelity(r2, r1))
 
 
+def sampled_walk_mismatches(state, pairs, draws) -> int:
+    """Trials whose sampled two-pair _bell_walk elements differ from the draw rule.
+
+    The rule keeps, per trial, the first element in BellElement order whose
+    cumulative probability exceeds the draw: by bell_probabilities of the
+    first pair, then of the second in the state the first element leaves.
+    bell_probabilities forms the branches by add and subtract, not through
+    the sampled walk's weights.
+    """
+    first, second = pairs
+    kept = [q for q in range(state.num_qubits) if q not in first]
+    at = tuple(kept.index(q) for q in second)
+    branches, _, _ = qs._bell_walk(state.amplitudes, state.num_qubits, [first])
+
+    def bounds(s, pair):
+        cumulative = np.cumsum(list(qs.bell_probabilities(s, pair).values()))
+        return cumulative[:3] / cumulative[3]
+
+    rule_first = (bounds(state, first) <= draws[:, :1]).sum(axis=1)
+    table = np.array([
+        bounds(qs.StateVector.from_amplitudes(row, normalize=True), at) for row in branches
+    ])
+    rule_second = (table[rule_first] <= draws[:, 1:]).sum(axis=1)
+    _, elements, trials = qs._bell_walk(state.amplitudes, state.num_qubits, pairs, draws=draws)
+    walked = np.array(elements, dtype=np.intp)[trials]
+    return int(((walked[:, 0] != rule_first) | (walked[:, 1] != rule_second)).sum())
+
+
 def _group_qstate(seed: int) -> GroupResult:
     rng = np.random.default_rng(seed)
 
@@ -141,6 +169,8 @@ def _group_qstate(seed: int) -> GroupResult:
     symmetry = [
         uhlmann_symmetry_deviation(mixed_state(4, 2), mixed_state(4, 2)) for _ in range(10)
     ]
+    walk_draws = 2000
+    mismatches = sampled_walk_mismatches(state(4), ((0, 2), (3, 1)), rng.random((walk_draws, 2)))
     return GroupResult("qstate", (
         _worst("norm-preservation", norms, EXACT_TOL),
         _worst("bell-completeness", [bell_completeness_deviation(*i) for i in pairs], EXACT_TOL),
@@ -148,6 +178,10 @@ def _group_qstate(seed: int) -> GroupResult:
         CheckResult("entropy-bounds", all(entropies), "0 <= S <= num_qubits"),
         _worst("uhlmann-properties", uhlmann, EXACT_TOL),
         _worst("uhlmann-symmetry", symmetry, ORACLE_TOL),
+        CheckResult(
+            "sampled-walk-weights", mismatches == 0,
+            f"{mismatches} of {walk_draws} draws differ from the rule on bell_probabilities",
+        ),
     ))
 
 

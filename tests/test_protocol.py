@@ -657,6 +657,19 @@ class TestSampling:
         sampled = peak(rng=np.random.default_rng(4))
         assert sampled <= forced + 2**20
 
+    def test_many_draws_peak_bounded(self):
+        # 20,000 draws at n=2 peak at 0.79 MiB traced: the (20000, 2) draws
+        # and one step's per-trial arrays (trials, code, a gathered bound and
+        # its comparison); 1 MiB leaves room for one more array, not a sort
+        psi = random_input(2, 124)
+        tracemalloc.start()
+        try:
+            sample_outcomes(psi, CloneParams(p=0.5, n=2), 20000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
     def test_no_draws_give_all_zero_counts(self):
         counts = sample_outcomes(random_input(2, 121), CloneParams(p=0.5, n=2), 0, seed=7)
         assert list(counts) == list(BellOutcome.all_outcomes(2))

@@ -166,6 +166,58 @@ class TestBellProject:
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-15)
 
 
+class TestSampledWalk:
+    """_bell_walk's draws mode on unequal Bell weights (every protocol walk's are equal)."""
+
+    PAIRS = [(0, 3), (4, 1)]  # one pair in each order
+
+    @pytest.mark.parametrize("state_seed", [60, 61])
+    def test_draws_match_oracle(self, state_seed):
+        state = StateVector.random(6, np.random.default_rng(state_seed))
+        for s in range(50):
+            draws = np.random.default_rng(s).random((1, len(self.PAIRS)))
+            (row,), (elements,), trials = qstate._bell_walk(
+                state.amplitudes, 6, self.PAIRS, draws=draws
+            )
+            outcome, expected, _ = measure_pairs(state, self.PAIRS, rng=np.random.default_rng(s))
+            assert tuple(qstate._BELL_ORDER[e] for e in elements) == outcome.elements, s
+            assert trials.tolist() == [0]
+            got = row / np.linalg.norm(row)
+            np.testing.assert_allclose(got, expected.amplitudes, rtol=0, atol=1e-12)
+
+    def test_weights_are_not_uniform(self):
+        # the oracle comparison above means little on uniform weights
+        rows, _, _ = qstate._bell_walk(
+            StateVector.random(6, np.random.default_rng(60)).amplitudes, 6, self.PAIRS[:1]
+        )
+        probs = (np.abs(rows) ** 2).sum(axis=1) / 2
+        assert probs.max() - probs.min() > 0.1
+
+    def test_trials_in_one_call_equal_one_trial_calls(self):
+        state = StateVector.random(6, np.random.default_rng(62))
+        draws = np.random.default_rng(63).random((300, len(self.PAIRS)))
+        rows, elements, trials = qstate._bell_walk(state.amplitudes, 6, self.PAIRS, draws=draws)
+        singles = [
+            qstate._bell_walk(state.amplitudes, 6, self.PAIRS, draws=draw[None])
+            for draw in draws
+        ]
+        assert elements == sorted({single_elements for _, (single_elements,), _ in singles})
+        assert len(elements) > 4  # the draws reach several rows
+        for trial, (single_rows, (single_elements,), single_trials) in zip(trials, singles):
+            assert elements[trial] == single_elements
+            np.testing.assert_array_equal(rows[trial], single_rows[0])
+            assert single_trials.tolist() == [0]
+
+    def test_zero_draws(self):
+        state = StateVector.random(6, np.random.default_rng(64))
+        rows, elements, trials = qstate._bell_walk(
+            state.amplitudes, 6, self.PAIRS, draws=np.empty((0, len(self.PAIRS)))
+        )
+        assert rows.shape == (0, 4)
+        assert elements == []
+        assert trials.shape == (0,)
+
+
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
         rho = DensityMatrix.from_state(bell_state())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from teleclone import cli, verify
+from teleclone import qstate as qs
 from teleclone import mixed as mx
 from teleclone import protocol as pt
 from teleclone.cloning import CloneParams, clone_fidelities
@@ -19,7 +20,7 @@ _P = ("0.0", "0.3", "0.5", "1.0")
 CHECK_NAMES = {
     "qstate": [
         "norm-preservation", "bell-completeness", "partial-trace-two-step",
-        "entropy-bounds", "uhlmann-properties", "uhlmann-symmetry",
+        "entropy-bounds", "uhlmann-properties", "uhlmann-symmetry", "sampled-walk-weights",
     ],
     "transformations": [
         name for p in _P for name in (f"parity-triples p={p}", f"state-triples p={p}")
@@ -261,3 +262,15 @@ def test_shifting_two_percent_of_draws_fails_the_sampled_check(monkeypatch):
     check = result.checks[1]
     assert check.name == "sampled-frequencies-sidak"
     assert not check.passed, check.detail
+
+
+def test_swapped_bell_weights_fail_the_sampled_walk_check(monkeypatch):
+    # a sampler that weighs PHI+ as PHI- (and PSI+ as PSI-) keeps uniform
+    # protocol walks uniform; only a walk with unequal weights can see it
+    real = qs._bell_weights
+    monkeypatch.setattr(qs, "_bell_weights", lambda view: real(view)[:, [1, 0, 3, 2]])
+    (result,) = verify.run_verification(["qstate"], seed=verify.DEFAULT_SEED)
+    check = result.checks[-1]
+    assert check.name == "sampled-walk-weights"
+    assert not check.passed, check.detail
+    assert check.detail.endswith("of 2000 draws differ from the rule on bell_probabilities")
