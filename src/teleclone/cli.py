@@ -13,13 +13,16 @@ bytes of every CSV command (the `ok` flag of `mixed` is the cell of
 of such blocks of lines; every block is formatted before the output is
 opened, then `_write_csv` writes the header and the blocks one at a
 time, so a failure while formatting leaves no file and no partial
-stdout, and the body is never held a second time as one string.
+stdout, and the body is never held a second time as one string.  An
+`--output` file is written beside its path and moved onto it only when
+whole, so a failure while writing leaves the path as it was.
 """
 
 import argparse
 import contextlib
 import json
 import math
+import os
 import re
 import sys
 import traceback
@@ -36,11 +39,30 @@ from .qstate import StateVector
 
 @contextlib.contextmanager
 def _open_output(path: str | None):
+    """stdout for None or "-"; else a new file beside `path`, moved onto it
+    only once the payload is written and closed, and removed if anything
+    fails first, so `path` never holds a partial payload."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a device or a pipe, such as /dev/null: nothing to replace
         with open(path, "w", encoding="utf-8", newline="") as handle:
             yield handle
+        return
+    target = os.path.realpath(path)  # through a symlink, which stays one
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        handle = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the path asked for, not the temporary
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 #: bytes per cell: '%.12g' of a float64 takes at most 19 ('-1.23456789012e-308')

@@ -9,6 +9,7 @@ All operations are pure: they return new values and never mutate their
 inputs.  States and density matrices are safe to share across threads.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -224,8 +225,6 @@ class BellElement(Enum):
 
 #: PHI+, PHI-, PSI+, PSI-: outcome enumeration and sampling order
 _BELL_ORDER = tuple(BellElement)
-#: the signs of _bell_weights' partner overlaps: + for the PLUS elements
-_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -263,19 +262,33 @@ def _pair_blocks(amps: np.ndarray, num_qubits: int, pair: tuple[int, int]) -> np
     return view.swapaxes(2, 4) if i > j else view
 
 
-def _bell_weights(view: np.ndarray) -> np.ndarray:
-    """(rows, 4) |b00 +/- b11|^2, then |b01 +/- b10|^2: twice each Bell weight, PHI+ to PSI-.
+def _bell_sums(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, 2, 2) block norms |b_ab|^2 and (rows, 2) cross terms 2 Re<b00, b11>, 2 Re<b01, b10>.
 
     Two batched reductions of a _pair_blocks view's float64 view, with no
-    copy and no per-row loop: the four block norms |b_ab|^2, and the real
-    overlaps Re<b00, b11> and Re<b01, b10> of the a_i = 0 blocks with their
-    partners (a_j reversed).
+    copy and no per-row loop; the cross terms are the real overlaps of the
+    a_i = 0 blocks with their partners (a_j reversed).
     """
     f = view.view(np.float64)
     norms = np.einsum("rhambl,rhambl->rab", f, f)
-    same = norms[:, 0] + norms[:, 1, ::-1]  # |b00|^2 + |b11|^2, |b01|^2 + |b10|^2
     cross = 2 * np.einsum("rhmbl,rhmbl->rb", f[:, :, 0], f[:, :, 1, :, ::-1])
-    return (same[:, :, None] + cross[:, :, None] * _PLUS_MINUS).reshape(-1, 4)
+    return norms, cross
+
+
+def _weights_from_sums(norms, cross) -> tuple:
+    """|b00 +/- b11|^2, then |b01 +/- b10|^2: twice each Bell weight, PHI+ to PSI-.
+
+    From one row's _bell_sums as nested Python floats, or from every row's
+    at once, transposed so that each weight comes out as a column.
+    """
+    (n00, n01), (n10, n11) = norms
+    return n00 + n11 + cross[0], n00 + n11 - cross[0], n01 + n10 + cross[1], n01 + n10 - cross[1]
+
+
+def _bell_weights(view: np.ndarray) -> np.ndarray:
+    """(rows, 4) _weights_from_sums of every row of a _pair_blocks view."""
+    norms, cross = _bell_sums(view)
+    return np.stack(_weights_from_sums(norms.transpose(1, 2, 0), cross.T), axis=1)
 
 
 def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=None):
@@ -284,7 +297,9 @@ def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=
     Forced (`outcome`, a BellElement per pair) keeps the named branch; sampled
     (`draws`, (trials, pairs) uniforms) keeps, per trial, the first element in
     BellElement order whose cumulative conditional probability exceeds its
-    draw, weighed by _bell_weights; with neither, all 4^k branches, in
+    draw, weighed by _bell_weights (one trial, the draw of every seeded
+    round, is finished in Python floats from _bell_sums, with the same rule
+    and the same bounds); with neither, all 4^k branches, in
     BellOutcome.all_outcomes order.  Only kept branches are formed, each once,
     from the step's _pair_blocks view.  Returns the rows (sqrt(2)^k times the
     projected state: squared norm / 2^k is the joint probability), each row's
@@ -302,6 +317,14 @@ def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=
         view = _pair_blocks(rows, m, [q - sum(r < q for r in removed) for q in pair])
         if outcome is not None:
             keys = [_BELL_ORDER.index(outcome[step])]
+        elif draws is not None and len(draws) == 1:
+            # a one-trial walk has one row: finish it in Python floats, with
+            # the rule and the bounds (summed in the same order) of many trials
+            norms, cross = _bell_sums(view)
+            weights = _weights_from_sums(norms.tolist()[0], cross.tolist()[0])
+            *bounds, total = itertools.accumulate(max(w, 0.0) for w in weights)
+            draw = float(draws[0, step])
+            keys = [sum(draw >= bound / total for bound in bounds)]
         elif draws is not None:
             weights = np.maximum(_bell_weights(view), 0.0)  # no roundoff below 0
             cumulative = weights.cumsum(1) / weights.sum(1)[:, None]

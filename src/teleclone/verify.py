@@ -120,14 +120,16 @@ def uhlmann_symmetry_deviation(r1, r2) -> float:
     return abs(qs.uhlmann_fidelity(r1, r2) - qs.uhlmann_fidelity(r2, r1))
 
 
-def sampled_walk_mismatches(state, pairs, draws) -> int:
-    """Trials whose sampled two-pair _bell_walk elements differ from the draw rule.
+def sampled_walk_mismatches(state, pairs, draws, singles: int) -> tuple[int, int]:
+    """Draws whose sampled two-pair _bell_walk elements differ from the draw rule.
 
-    The rule keeps, per trial, the first element in BellElement order whose
-    cumulative probability exceeds the draw: by bell_probabilities of the
-    first pair, then of the second in the state the first element leaves.
-    bell_probabilities forms the branches by add and subtract, not through
-    the sampled walk's weights.
+    Counted twice: among the first `singles` draws, walked one trial per
+    call as every seeded protocol round walks, and among all draws, walked
+    in one call.  The rule keeps, per trial, the first element in
+    BellElement order whose cumulative probability exceeds the draw: by
+    bell_probabilities of the first pair, then of the second in the state
+    the first element leaves.  bell_probabilities forms the branches by add
+    and subtract, not through the sampled walk's weights.
     """
     first, second = pairs
     kept = [q for q in range(state.num_qubits) if q not in first]
@@ -142,10 +144,18 @@ def sampled_walk_mismatches(state, pairs, draws) -> int:
     table = np.array([
         bounds(qs.StateVector.from_amplitudes(row, normalize=True), at) for row in branches
     ])
-    rule_second = (table[rule_first] <= draws[:, 1:]).sum(axis=1)
+    rule = np.stack([rule_first, (table[rule_first] <= draws[:, 1:]).sum(axis=1)], axis=1)
     _, elements, trials = qs._bell_walk(state.amplitudes, state.num_qubits, pairs, draws=draws)
-    walked = np.array(elements, dtype=np.intp)[trials]
-    return int(((walked[:, 0] != rule_first) | (walked[:, 1] != rule_second)).sum())
+    one_by_one = [
+        qs._bell_walk(state.amplitudes, state.num_qubits, pairs, draws=draw[None])[1][0]
+        for draw in draws[:singles]
+    ]
+
+    def differ(walked) -> int:
+        walked = np.asarray(walked, dtype=np.intp).reshape(-1, 2)
+        return int((walked != rule[:len(walked)]).any(axis=1).sum())
+
+    return differ(one_by_one), differ(np.array(elements, dtype=np.intp)[trials])
 
 
 def _group_qstate(seed: int) -> GroupResult:
@@ -169,8 +179,10 @@ def _group_qstate(seed: int) -> GroupResult:
     symmetry = [
         uhlmann_symmetry_deviation(mixed_state(4, 2), mixed_state(4, 2)) for _ in range(10)
     ]
-    walk_draws = 2000
-    mismatches = sampled_walk_mismatches(state(4), ((0, 2), (3, 1)), rng.random((walk_draws, 2)))
+    walk_draws, walk_singles = 2000, 50
+    singles, mismatches = sampled_walk_mismatches(
+        state(4), ((0, 2), (3, 1)), rng.random((walk_draws, 2)), walk_singles
+    )
     return GroupResult("qstate", (
         _worst("norm-preservation", norms, EXACT_TOL),
         _worst("bell-completeness", [bell_completeness_deviation(*i) for i in pairs], EXACT_TOL),
@@ -179,8 +191,9 @@ def _group_qstate(seed: int) -> GroupResult:
         _worst("uhlmann-properties", uhlmann, EXACT_TOL),
         _worst("uhlmann-symmetry", symmetry, ORACLE_TOL),
         CheckResult(
-            "sampled-walk-weights", mismatches == 0,
-            f"{mismatches} of {walk_draws} draws differ from the rule on bell_probabilities",
+            "sampled-walk-weights", singles == mismatches == 0,
+            f"{singles} of {walk_singles} one-trial walks and {mismatches} of {walk_draws} draws"
+            " differ from the rule on bell_probabilities",
         ),
     ))
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -274,6 +275,49 @@ class TestSweepDelta:
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: ") and "--mu" in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_full_disk_leaves_no_partial_payload(self, tmp_path, monkeypatch, existed):
+        # the header and the first block are written; the second block's
+        # write runs out of space
+        out = tmp_path / "delta.csv"
+        if existed:
+            out.write_bytes(b"old payload\n")
+
+        def full_on_the_third_write(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write, writes = handle.write, []
+
+            def limited(text):
+                writes.append(text)
+                if len(writes) == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return write(text)
+
+            handle.write = limited
+            return handle
+
+        monkeypatch.setattr(cli, "open", full_on_the_third_write, raising=False)
+        code, stdout, stderr = call_main(["sweep-delta", "--output", str(out)])
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert list(tmp_path.iterdir()) == ([out] if existed else [])  # no temporary left
+        if existed:
+            assert out.read_bytes() == b"old payload\n"
+
+    def test_missing_directory_is_named_as_given(self, tmp_path):
+        # the error names the output path, not the temporary beside it
+        out = tmp_path / "missing" / "delta.csv"
+        code, stdout, stderr = call_main(["sweep-delta", "--mu", "0.25", "--output", str(out)])
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
+
+    def test_output_file_gets_the_mode_a_new_file_gets(self, tmp_path):
+        # the payload is written to a temporary first: not mkstemp's 0600
+        out, reference = tmp_path / "delta.csv", tmp_path / "reference"
+        reference.write_text("")
+        assert call_main(["sweep-delta", "--mu", "0.25", "--output", str(out)])[0] == 0
+        assert out.stat().st_mode == reference.stat().st_mode
 
     def test_default_grid_has_no_violations(self, tmp_path, capsys):
         out = tmp_path / "full.csv"

@@ -208,6 +208,32 @@ class TestSampledWalk:
             np.testing.assert_array_equal(rows[trial], single_rows[0])
             assert single_trials.tolist() == [0]
 
+    @pytest.mark.parametrize("pair_in_00", [False, True])
+    def test_draws_at_and_beside_each_bound(self, pair_in_00):
+        # a draw exactly at a cumulative bound moves past it (the rule is
+        # draw >= bound); with the pair in |00> the weights are 1/2, 1/2, 0, 0,
+        # and no draw below 1 may reach a zero-weight PSI element
+        amps = StateVector.random(6, np.random.default_rng(65)).amplitudes.reshape([2] * 6).copy()
+        pair = self.PAIRS[0]
+        if pair_in_00:
+            amps[1], amps[:, :, :, 1] = 0, 0  # qubits 0 and 3, the pair, in |0>
+        amps = amps.reshape(-1) / np.linalg.norm(amps)
+        weights = np.maximum(qstate._bell_weights(qstate._pair_blocks(amps[None], 6, pair)), 0.0)
+        bounds = (weights.cumsum(1) / weights.sum(1)[:, None])[0, :3]
+        assert (weights[0, 2:] == 0).all() == pair_in_00
+        draws = [
+            d for b in bounds for d in (np.nextafter(b, 0.0), b, np.nextafter(b, 1.0)) if d < 1
+        ]
+        assert len(draws) == (5 if pair_in_00 else 9)
+        picked = [int((bounds <= d).sum()) for d in draws]
+        assert all(weights[0, e] > 0 for e in picked)
+        singles = [
+            qstate._bell_walk(amps, 6, [pair], draws=np.array([[d]]))[1][0][0] for d in draws
+        ]
+        _, elements, trials = qstate._bell_walk(amps, 6, [pair], draws=np.array(draws)[:, None])
+        assert singles == picked
+        assert [elements[t][0] for t in trials] == picked
+
     def test_zero_draws(self):
         state = StateVector.random(6, np.random.default_rng(64))
         rows, elements, trials = qstate._bell_walk(

@@ -274,3 +274,21 @@ def test_swapped_bell_weights_fail_the_sampled_walk_check(monkeypatch):
     assert check.name == "sampled-walk-weights"
     assert not check.passed, check.detail
     assert check.detail.endswith("of 2000 draws differ from the rule on bell_probabilities")
+
+
+def test_one_trial_swap_fails_the_sampled_walk_check(monkeypatch):
+    # the 2,000 draws walk in one call and miss a fault of the one-trial
+    # step, which every seeded round takes; only that step evaluates the
+    # weights on Python floats, so the swap reaches no other walk
+    real = qs._weights_from_sums
+
+    def swapped(norms, cross):
+        weights = real(norms, cross)
+        return (weights[1], weights[0], *weights[2:]) if isinstance(norms, list) else weights
+
+    monkeypatch.setattr(qs, "_weights_from_sums", swapped)
+    (result,) = verify.run_verification(["qstate"], seed=verify.DEFAULT_SEED)
+    check = result.checks[-1]
+    assert check.name == "sampled-walk-weights"
+    assert not check.passed, check.detail
+    assert check.detail.endswith("and 0 of 2000 draws differ from the rule on bell_probabilities")
