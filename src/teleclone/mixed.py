@@ -29,9 +29,9 @@ class MixedInput:
         alphas = np.array(self.alphas, dtype=float)
         if alphas.ndim != 1 or alphas.size != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} eigenvalues for n={self.n}")
-        if alphas.min() < 0.0:
+        if not alphas.min() >= 0.0:  # NaN fails it too
             raise ValueError("eigenvalues must be nonnegative")
-        if abs(alphas.sum() - 1.0) > 1e-12:
+        if not abs(alphas.sum() - 1.0) <= 1e-12:  # as does an infinite sum
             raise ValueError("eigenvalues must sum to 1 within 1e-12")
         alphas.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)

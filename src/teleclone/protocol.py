@@ -6,20 +6,23 @@ local Pauli triples to land on the target superposition of cloning-machine
 states — for every one of the 4^n (uniformly likely) outcomes.
 
 The senders' Bell walk runs on the input and a label register K that
-stands in for the receivers, psi (x) sum_k |k>_{A'}|k>_K; its rows are
-then lifted by one scatter, |k>_K -> 2^(-n/2) machine_state_k (_lift).
-Every entry point passes one input gate (_checked_input), and every lifted
-row becomes its corrected final state in one step (_final), which run and
-evaluate_outcomes read out and entanglement_cost_check takes the entropy
-of.  No entry point builds the channel: the dense 5n-qubit route
-(build_channel, attach_input, measure_senders, apply_corrections) stays
-only as the stages the benchmark's traced replay looks up by name.
+stands in for the receivers, psi (x) sum_k |k>_{A'}|k>_K; each label
+|k>_K stands for 2^(-n/2) machine_state_k, which is nonzero on only
+d + 2(d-1) of its d^3 amplitudes.  Every entry point passes one input
+gate (_checked_input), and every walk row becomes its corrected final
+state on the machine's support alone (_final): one product per term, its
+position moved and signed by the outcome's Pauli frame.  run and
+evaluate_outcomes read that out (_readout); run and
+entanglement_cost_check scatter their one row into a dense state.  No
+entry point builds the channel: the dense 5n-qubit route (build_channel,
+attach_input, measure_senders, apply_corrections) stays only as the
+stages the benchmark's traced replay looks up by name.
 
 Register layouts (big-endian; ref is entanglement_cost_check's reference):
   channel      (A', B, C, anc)           4n qubits
   total state  (A, A', B, C, anc)        5n qubits, pairs (A_i, A'_i)
   walk         (A, ref, A', K)           n_ref + 3n qubits, pairs (A_i, A'_i)
-  final state  (ref, B, C, anc)          n_ref + 3n qubits, the walk's K lifted
+  final state  (ref, B, C, anc)          n_ref + 3n qubits, each K label's machine output
 """
 
 import functools
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloning import CloneParams, _machine_states, _machine_weights, target_state
+from .cloning import CloneParams, _machine_states, _machine_support, _machine_weights, target_state
 from .qstate import (
     _BELL_ORDER,
     BellElement,
@@ -217,19 +220,22 @@ def _fold(plan, num_qubits: int, offset: int = 0) -> tuple[int, int, int]:
     return xmask, zmask, sign
 
 
-def _frame(folds, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) arrays of shape (len(folds), 2^num_qubits), one row per fold.
+def _parity_signs(bits: np.ndarray) -> np.ndarray:
+    """(-1)^popcount of every entry (below 2^32) as a float, by an XOR-fold."""
+    for shift in (16, 8, 4, 2, 1):  # bit 0 ends as the parity of all 32 low bits
+        bits = bits ^ (bits >> shift)
+    return 1.0 - 2.0 * (bits & 1)
 
-    A row's frame takes a state to sign[i] * state[index[i]] at every i:
+
+def _frame(fold, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) arrays of 2^num_qubits entries for one fold (_fold).
+
+    The frame takes a state to sign[i] * state[index[i]] at every i:
     index = i ^ xmask and sign = sign * (-1)^popcount(i & zmask).
     """
-    xmask, zmask, sign = np.array(folds, dtype=np.intp).T
+    xmask, zmask, sign = fold
     positions = np.arange(1 << num_qubits, dtype=np.intp)
-    index = positions ^ xmask[:, None]
-    parity = positions & zmask[:, None]
-    for shift in (16, 8, 4, 2, 1):  # XOR-fold: bit 0 ends as the parity of all 32 low bits
-        parity ^= parity >> shift
-    return index, (1.0 - 2.0 * (parity & 1)) * sign[:, None]
+    return positions ^ xmask, _parity_signs(positions & zmask) * sign
 
 
 def apply_corrections(state: StateVector, plan) -> StateVector:
@@ -239,8 +245,8 @@ def apply_corrections(state: StateVector, plan) -> StateVector:
     what the plan's one-qubit Paulis, applied in turn, give.
     """
     m = state.num_qubits
-    index, sign = _frame([_fold(plan, m)], m)
-    return StateVector._owned(state.amplitudes[index[0]] * sign[0], m)
+    index, sign = _frame(_fold(plan, m), m)
+    return StateVector._owned(state.amplitudes[index] * sign, m)
 
 
 @dataclass(frozen=True)
@@ -274,8 +280,8 @@ class ProtocolTranscript:
 def _check_budget(n: int, n_ref: int = 0) -> None:
     """Refuse, before anything is allocated, a run whose dense oracle register
     (A, ref, A', B, C, anc) of n_ref + 5n qubits is past the limit (the walk holds
-    n_ref + 3n; the rule stays until evaluate_outcomes' 4^n x 8^n batch, 512 MiB at
-    n=5, has a bound of its own)."""
+    n_ref + 3n; the rule stays until evaluate_outcomes' batch of 4^n x (d + 2d(d-1))
+    support terms, 9 MiB traced at n=4 and 144 MiB at n=5, has a bound of its own)."""
     _check_register_size(n_ref + 5 * n)
 
 
@@ -301,37 +307,60 @@ def _sender_walk(psi: StateVector, n: int, **mode) -> tuple:
     return _bell_walk(walked, m + 2 * n, [(i, m + i) for i in range(n)], **mode)
 
 
-def _lift(rows: np.ndarray, params: CloneParams) -> np.ndarray:
-    """Walk rows on (ref, K) to (ref, B, C, anc), |k>_K -> row k of build_channel(params)."""
+def _final(rows: np.ndarray, params: CloneParams, folds) -> tuple:
+    """Outcome probability and corrected final state of each sender-walk row,
+    on the machine's support: (probs, pos, vals), with row r's state
+    sum_{ref, t} vals[r, ref, t] |ref, pos[r, t]> on (ref, B, C, anc).
+
+    Term t of machine output j[t] (_machine_support) holds rows[r, (ref, j[t])]
+    times its weight over sqrt(d), as build_channel rounds it.  Row r's fold
+    (_fold; its masks clear of the reference) moves it to pos = index ^ xmask
+    with the sign sign * (-1)^popcount(pos & zmask); the row is then
+    normalized (its squared norm is 2^n times the probability).
+    """
     d = params.d
-    weights = _machine_weights(params, math.sqrt(d))  # as build_channel rounds them
-    return _machine_states(rows.reshape(-1, d), weights).reshape(len(rows), -1)
+    index, j = _machine_support(d)
+    weights = _machine_weights(params, math.sqrt(d))
+    vals = rows.reshape(len(rows), -1, d)[:, :, j] * weights
+    norms = (vals.real**2 + vals.imag**2).sum(axis=(1, 2))
+    xmask, zmask, sign = np.array(folds, dtype=np.intp).T
+    pos = index ^ xmask[:, None]
+    signs = _parity_signs(pos & zmask[:, None]) * (sign / np.sqrt(norms))[:, None]
+    vals *= signs[:, None]  # the frame's signs, rows normalized, every reference alike
+    return norms / 2**params.n, pos, vals
 
 
-def _final(rows: np.ndarray, params: CloneParams, frame) -> tuple:
-    """Outcome probability and corrected final state of each sender-walk row:
-    lifted (_lift), gathered and signed by its `frame` row (_frame), then
-    normalized (its squared norm is 2^n times the probability)."""
-    index, sign = frame
-    rows = _lift(rows, params)
-    norms = (np.abs(rows) ** 2).sum(axis=1)
-    final = np.take_along_axis(rows, index, axis=1)
-    final *= sign / np.sqrt(norms)[:, None]  # the frame's signs, rows normalized
-    return norms / 2**params.n, final
+def _dense(pos: np.ndarray, vals: np.ndarray, num_qubits: int) -> StateVector:
+    """One row of _final, sum_{ref, t} vals[ref, t] |ref, pos[t]>, made dense on num_qubits."""
+    amps = np.zeros((len(vals), (1 << num_qubits) // len(vals)), dtype=complex)
+    amps[:, pos] = vals
+    return StateVector._owned(amps.reshape(-1), num_qubits)
 
 
-def _readout(psi: StateVector, params: CloneParams, rows: np.ndarray, frame) -> tuple:
-    """Probability, final state (_final), target overlap, F_B and F_C of walk
-    rows; F_B (F_C) is the squared norm of conj(psi) contracted into the B (C)
-    axis of the (B, C, anc) final state."""
-    d = params.d
-    probs, final = _final(rows, params, frame)
+def _contracted_norms(terms: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
+    """Per row, the squared norm of its terms summed into `size` bins by key."""
+    keys = (keys + size * np.arange(len(keys))[:, None]).ravel()
+    bins = len(terms) * size
+    real = np.bincount(keys, terms.real.ravel(), bins)
+    imag = np.bincount(keys, terms.imag.ravel(), bins)
+    return (real**2 + imag**2).reshape(len(terms), size).sum(axis=1)
+
+
+def _readout(psi: StateVector, params: CloneParams, rows: np.ndarray, folds) -> tuple:
+    """Probability, support-sized final state (_final, no reference), target
+    overlap, F_B and F_C of walk rows; F_B (F_C) is the squared norm of
+    conj(psi) contracted into the B (C) axis of the (B, C, anc) final state,
+    its terms summed on the (C, anc) ((B, anc)) positions they land on."""
+    n, d = params.n, params.d
+    probs, pos, vals = _final(rows, params, folds)
+    final = vals[:, 0]  # no reference
     target = target_state(psi.amplitudes, params).amplitudes
-    overlap = np.abs(final @ target.conj()) ** 2
-    bra = psi.amplitudes.conj()
-    fidelity_b = (np.abs(bra @ final.reshape(-1, d, d * d)) ** 2).sum(axis=1)  # (row, B, C*anc)
-    fidelity_c = (np.abs(bra @ final.reshape(-1, d, d, d)) ** 2).sum(axis=(1, 2))  # (row, B, C, anc)
-    return probs, final, overlap, fidelity_b, fidelity_c
+    overlap = np.abs((target.conj()[pos] * final).sum(axis=1)) ** 2
+    bra, low = psi.amplitudes.conj(), d - 1
+    b = pos >> 2 * n  # pos is (B, C, anc), n bits each
+    fidelity_b = _contracted_norms(final * bra[b], pos & (d * d - 1), d * d)  # on (C, anc)
+    fidelity_c = _contracted_norms(final * bra[(pos >> n) & low], (b << n) | (pos & low), d * d)
+    return probs, pos, vals, overlap, fidelity_b, fidelity_c
 
 
 def run(
@@ -342,11 +371,12 @@ def run(
     seed: int | None = None,
     channel: ChannelState | None = None,
 ) -> ProtocolTranscript:
-    """Full telecloning round: sender walk, broadcast, lift, correct, verify.
+    """Full telecloning round: sender walk, broadcast, correct, verify.
 
     Pass either a forced `outcome` (deterministic, for tests) or an
     explicit `seed` for sampled mode.  The measured row goes through the
-    same readout as every row of evaluate_outcomes.  No channel is built;
+    same readout as every row of evaluate_outcomes, and is then scattered
+    into the dense final_state.  No channel is built;
     a `channel` passed in is not read, only refused if built for other params.
     """
     psi = _checked_input(psi, params.n)
@@ -357,15 +387,15 @@ def run(
     rows, (elements,), _ = _sender_walk(psi, params.n, **mode)
     measured = BellOutcome(tuple(_BELL_ORDER[e] for e in elements))
     plan = correction_plan(measured)
-    frame = _frame([_fold(plan, 3 * params.n)], 3 * params.n)
-    probs, final, overlap, fidelity_b, fidelity_c = _readout(psi, params, rows, frame)
+    folds = [_fold(plan, 3 * params.n)]
+    probs, pos, vals, overlap, fidelity_b, fidelity_c = _readout(psi, params, rows, folds)
     return ProtocolTranscript(
         params=params,
         outcome=measured,
         probability=float(probs[0]),
         classical_bits=measured.classical_bits(),
         corrections=plan,
-        final_state=StateVector._owned(final[0], 3 * params.n),
+        final_state=_dense(pos[0], vals[0], 3 * params.n),
         fidelity_b=float(fidelity_b[0]),
         fidelity_c=float(fidelity_c[0]),
         target_overlap=float(overlap[0]),
@@ -373,12 +403,9 @@ def run(
 
 
 @functools.cache
-def _pauli_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only _frame of every outcome's plan, (4^n, 8^n), in all_outcomes order."""
-    folds = [_fold(correction_plan(o), 3 * n) for o in BellOutcome.all_outcomes(n)]
-    index, sign = _frame(folds, 3 * n)
-    index.flags.writeable = sign.flags.writeable = False
-    return index, sign
+def _batch_folds(n: int) -> tuple:
+    """The fold (_fold) of every outcome's correction plan, in all_outcomes order."""
+    return tuple(_fold(correction_plan(o), 3 * n) for o in BellOutcome.all_outcomes(n))
 
 
 def evaluate_outcomes(
@@ -390,12 +417,12 @@ def evaluate_outcomes(
     probability, the corrected state's overlap |<target|final>|^2 with
     target_state, and the clone fidelities F_B and F_C, each what
     run(psi, params, outcome=...) reports, from the same input check,
-    walk, lift and readout; no channel is built.
+    walk and readout; no channel is built, and no row is made dense.
     """
     n = params.n
     psi = _checked_input(psi, n)
     rows, _, _ = _sender_walk(psi, n)
-    probs, _, overlap, fidelity_b, fidelity_c = _readout(psi, params, rows, _pauli_frame(n))
+    probs, _, _, overlap, fidelity_b, fidelity_c = _readout(psi, params, rows, _batch_folds(n))
     return probs, overlap, fidelity_b, fidelity_c
 
 
@@ -434,7 +461,8 @@ def entanglement_cost_check(
     entanglement are necessary.  A product input yields 0.  The run is
     forced to `outcome`, all-(PHI,+) by default; the count does not
     depend on it.  The input passes run's check, with the reference inside
-    the qubit budget, and the corrected final state is run's (_final).
+    the qubit budget, and the corrected final state is run's (_final),
+    scattered with its reference axis.
     """
     n = params.n
     if input_state is None:
@@ -449,6 +477,5 @@ def entanglement_cost_check(
         outcome = BellOutcome.all_phi_plus(n)
     rows, _, _ = _sender_walk(psi, n, **_walk_mode(n, outcome, None))
     m = n_ref + 3 * n  # (ref, B, C, anc); the plan acts past the reference
-    frame = _frame([_fold(correction_plan(outcome), m, n_ref)], m)
-    _, (final,) = _final(rows, params, frame)
-    return entanglement_entropy(StateVector._owned(final, m), range(n_ref))
+    _, (pos,), (vals,) = _final(rows, params, [_fold(correction_plan(outcome), m, n_ref)])
+    return entanglement_entropy(_dense(pos, vals, m), range(n_ref))

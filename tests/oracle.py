@@ -2,7 +2,8 @@
 
 Each Bell element is contracted into the full state by np.tensordot, one
 pair at a time; sampled mode draws its own rng.random() per pair; the
-receivers' Paulis are applied one qubit at a time by apply_local.
+receivers' Paulis are applied one qubit at a time by apply_local.  `lift`
+makes sender-walk rows dense, for comparison with this oracle's rows.
 """
 
 import math
@@ -10,6 +11,7 @@ import math
 import numpy as np
 
 from teleclone import qstate
+from teleclone.cloning import CloneParams, _machine_states, _machine_weights
 from teleclone.protocol import BellOutcome
 from teleclone.qstate import PAULI_X, PAULI_Z, BellElement, StateVector
 
@@ -62,3 +64,10 @@ def apply_plan(state: StateVector, plan, offset: int = 0) -> StateVector:
         for position in correction.targets:
             state = qstate.apply_local(state, ops[correction.op], offset + position)
     return state
+
+
+def lift(rows: np.ndarray, params: CloneParams) -> np.ndarray:
+    """Walk rows on (ref, K) made dense on (ref, B, C, anc): |k>_K -> build_channel's row k."""
+    d = params.d
+    weights = _machine_weights(params, math.sqrt(d))  # as build_channel rounds them
+    return _machine_states(rows.reshape(-1, d), weights).reshape(len(rows), -1)

@@ -19,6 +19,12 @@ class TestMixedInput:
         with pytest.raises(ValueError):
             MixedInput(np.array([1.2, -0.2]), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_eigenvalue_rejected_at_construction(self, bad):
+        # NaN compares False both ways, so only checks that must hold can catch it
+        with pytest.raises(ValueError, match="eigenvalues must"):
+            MixedInput(np.array([bad, 1.0]), 1)
+
     def test_count_must_match_n(self):
         with pytest.raises(ValueError):
             MixedInput(np.array([0.5, 0.3, 0.2]), 1)

@@ -22,7 +22,7 @@ from teleclone.protocol import (
 )
 from teleclone.qstate import BellElement, StateVector
 
-from oracle import apply_plan, measure_pairs, sender_pairs
+from oracle import apply_plan, lift, measure_pairs, sender_pairs
 
 
 #: n -> (p, the outcomes run(psi, CloneParams(p, n), seed=s) draws for
@@ -461,20 +461,37 @@ class TestEvaluateOutcomes:
         for k, outcome in enumerate(BellOutcome.all_outcomes(n)):
             assert outcome.index() == k
 
-    def test_frame_arrays_are_cached_and_read_only(self):
-        index, sign = protocol._pauli_frame(2)
-        assert protocol._pauli_frame(2)[0] is index
-        assert index.shape == sign.shape == (16, 64)
-        with pytest.raises(ValueError):
-            index[0, 0] = 1
-        with pytest.raises(ValueError):
-            sign[0, 0] = -1.0
+    def test_batch_folds_are_cached(self):
+        folds = protocol._batch_folds(2)
+        assert protocol._batch_folds(2) is folds
+        assert isinstance(folds, tuple) and len(folds) == 16
+        outcome = BellOutcome.parse("PSI-,PHI-")
+        assert folds[outcome.index()] == protocol._fold(correction_plan(outcome), 6)
 
-    def test_run_builds_only_its_own_frame(self):
-        # the batch frame is 4^n rows (16 MiB at n=4); a single run needs one
-        protocol._pauli_frame.cache_clear()
+    def test_run_builds_no_batch_folds(self):
+        # the batch folds every one of the 4^n plans; a single run needs one
+        protocol._batch_folds.cache_clear()
         run(random_input(2, 82), CloneParams(p=0.5, n=2), outcome=BellOutcome.parse("PSI-,PHI-"))
-        assert protocol._pauli_frame.cache_info().currsize == 0
+        run(random_input(2, 82), CloneParams(p=0.5, n=2), seed=5)
+        assert protocol._batch_folds.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_batch_peak_is_support_sized(self, warm):
+        # at n=4 the dense (4^n, 8^n) rows alone would take 16 MiB; the support
+        # readout holds 4^n x (d + 2d(d-1)) terms (2 MiB of values) and peaks
+        # at about 9 MiB traced, whether the call builds the folds or not
+        params, psi = CloneParams(p=0.35, n=4), random_input(4, 84)
+        if warm:
+            evaluate_outcomes(psi, params)
+        else:
+            protocol._batch_folds.cache_clear()
+        tracemalloc.start()
+        try:
+            evaluate_outcomes(psi, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     def test_oversize_register_refused_before_allocation(self, monkeypatch):
         def no_walk(psi, n, **mode):
@@ -511,7 +528,7 @@ def oracle_rows(total, n, n_ref=0):
 
 
 class TestSenderWalk:
-    """The walk and its lift, with the dense oracle and the dense channel as references."""
+    """The walk, made dense by the oracle's lift, against the dense oracle and channel."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_row_equals_the_dense_walk(self, n):
@@ -519,7 +536,7 @@ class TestSenderWalk:
         channel = build_channel(params)
         psi = random_input(n, 130 + n)
         rows, elements, _ = protocol._sender_walk(psi, n)
-        rows = protocol._lift(rows, params)
+        rows = lift(rows, params)
         dense_rows = oracle_rows(attach_input(psi, channel), n)
         assert rows.shape == dense_rows.shape == (4**n, 8**n)
         assert elements == list(itertools.product(range(4), repeat=n))  # all_outcomes order
@@ -534,7 +551,7 @@ class TestSenderWalk:
         params = CloneParams(p=0.35, n=n)
         channel = build_channel(params)
         rows, elements, _ = protocol._sender_walk(psi, n)
-        rows = protocol._lift(rows, params)
+        rows = lift(rows, params)
         dense_rows = oracle_rows(qstate.tensor(psi, channel.state), n, n_ref=n)
         assert rows.shape == dense_rows.shape == (4**n, 16**n)
         assert elements == list(itertools.product(range(4), repeat=n))
@@ -552,7 +569,7 @@ class TestSenderWalk:
         rows, _, _ = protocol._sender_walk(psi, n)
         d = params.d
         product = rows.reshape(-1, d) @ build_channel(params).state.amplitudes.reshape(d, -1)
-        lifted = protocol._lift(rows, params)
+        lifted = lift(rows, params)
         assert len(lifted) == 4**n
         assert np.array_equal(lifted, product.reshape(lifted.shape))
 
