@@ -9,23 +9,26 @@ significant digits), never quoted, with LF line endings, so that
 identical configs produce byte-identical files; JSON output is
 sorted-key.  One vectorized cell kernel, `_cells`, writes the '%.12g'
 bytes of every CSV command (the `ok` flag of `mixed` is the cell of
-0.0 or 1.0), and `_lines` joins cells into lines.  A CSV body is a list
-of such blocks of lines; every block is formatted before the output is
-opened, then `_write_csv` writes the header and the blocks one at a
-time, so a failure while formatting leaves no file and no partial
-stdout, and the body is never held a second time as one string.  An
-`--output` file is written beside its path and moved onto it only when
-whole, so a failure while writing leaves the path as it was.
+0.0 or 1.0), and `_lines` joins cells into lines.  A CSV body is a
+sequence of such blocks of lines, and `_write_csv` writes the header,
+then each block as it is formatted, so `sweep-delta` holds one block of
+its body at a time, never the whole.  `_open_output` alone knows the
+target: an `--output` file is written beside its path and moved onto it
+only when whole, and stdout, a device or a pipe gets a buffer that is
+written out only when the payload is whole, so a command that fails
+leaves no partial file, nothing on stdout and nothing on a pipe.
 """
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
 import re
 import sys
 import traceback
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -39,16 +42,25 @@ from .qstate import StateVector
 
 @contextlib.contextmanager
 def _open_output(path: str | None):
-    """stdout for None or "-"; else a new file beside `path`, moved onto it
-    only once the payload is written and closed, and removed if anything
-    fails first, so `path` never holds a partial payload."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
-    if os.path.exists(path) and not os.path.isfile(path):
-        # a device or a pipe, such as /dev/null: nothing to replace
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+    """A text handle for the payload, which reaches its target only whole.
+
+    The one place that knows the target.  A regular file (new, or reached
+    through a symlink, which stays one) is written to a new file beside
+    it and moved onto it once the payload is written and closed.  Stdout
+    (None or "-") and any other target, such as a device or a pipe, which
+    a file must not replace, get an in-memory buffer that is written out
+    once the payload is whole.  If anything fails first, the temporary is
+    removed and the target is left as it was: no partial file, nothing on
+    stdout and nothing on a pipe.
+    """
+    if path is None or path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
+        buffer = io.StringIO()
+        yield buffer
+        if path is None or path == "-":
+            sys.stdout.write(buffer.getvalue())
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(buffer.getvalue())
         return
     target = os.path.realpath(path)  # through a symlink, which stays one
     tmp = f"{target}.{os.getpid()}.tmp"
@@ -68,7 +80,7 @@ def _open_output(path: str | None):
 #: bytes per cell: '%.12g' of a float64 takes at most 19 ('-1.23456789012e-308')
 _WIDTH = 20
 #: lines of sweep-delta rows formatted at once
-_BLOCK_LINES = 16384
+_BLOCK_LINES = 4096
 #: k = the number of these bounds x reaches.  For k in 1..4 (x in
 #: [1e-4, 1e-3) .. [0.1, 1)), x * _SCALE[k] = x * 10^(16 - k) rounds to
 #: x's 12 significant digits, and that integer times _SHIFT[k] =
@@ -160,11 +172,12 @@ def _lines(*fields) -> bytes:
     return buf.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path: str | None, header, blocks: list[bytes]) -> None:
-    """Write the header line, then each formatted block of lines in turn.
+def _write_csv(path: str | None, header, blocks: Iterable[bytes]) -> None:
+    """Write the header line, then each formatted block of lines as it comes.
 
-    The blocks are all formatted before this opens the output; each is
-    decoded only as it is written.
+    `blocks` may be a generator that formats each block only when asked
+    for it, so one block is held at a time; `_open_output` keeps a failure
+    while formatting from leaving a partial payload anywhere.
     """
     with _open_output(path) as handle:
         handle.write(",".join(header) + "\n")
@@ -230,22 +243,20 @@ def _joined(*fields) -> np.ndarray:
     return np.array(lines).view(np.uint8).reshape(len(lines), -1)
 
 
-def _delta_rows(mu_values, p_values, f_b, f_c, c_b, c_c, values) -> list[bytes]:
-    """sweep-delta CSV rows, mu-major, as a list of blocks of lines; c_b,
+def _delta_rows(mu_values, p_values, f_b, f_c, c_b, c_c, values) -> Iterator[bytes]:
+    """sweep-delta CSV rows, mu-major, yielded in blocks of lines; c_b,
     c_c and values are (mu, p) grids.
 
     mu and the (p, f_b, f_c) cells, the same for every mu, are formatted
-    and joined once; the grids are formatted and joined in blocks of mu
-    rows, which bounds the memory the cells take.  The blocks are kept
-    apart for `_write_csv` to write one at a time.
+    and joined once; the grids are formatted and joined one block of mu
+    rows at a time, as `_write_csv` asks for it, so one block's cells and
+    lines are held at once.
     """
     mu_cells = _joined(_cells(mu_values))[:, None]
     shared = _joined(*(_cells(column) for column in (p_values, f_b, f_c)))
     step = max(1, _BLOCK_LINES // p_values.size)
-    return [
-        _lines(mu_cells[i:i + step], shared, *(_cells(g[i:i + step]) for g in (c_b, c_c, values)))
-        for i in range(0, mu_values.size, step)
-    ]
+    for i in range(0, mu_values.size, step):
+        yield _lines(mu_cells[i:i + step], shared, *(_cells(g[i:i + step]) for g in (c_b, c_c, values)))
 
 
 def _region_info(mu_value: float) -> dict:

@@ -18,6 +18,11 @@ from .qstate import PAULI_Y, DensityMatrix
 
 #: below this input-entanglement level one clone concurrence always vanishes
 MU_THRESHOLD = 1.0 / 6.0
+#: (mu, p) points of one `_gap` evaluation in `sweep_delta`: a block of
+#: grid rows, or a group of per-mu scans
+_BLOCK_POINTS = 1 << 13
+#: the step of the inflection scan's central second difference
+_H = 1e-4
 
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
@@ -153,20 +158,20 @@ def physical_region(mu_value: float) -> tuple[float, float]:
     """The open p-interval on which both clone concurrences are positive.
 
     Defined for mu in (1/6, 1/2]: endpoints
-    (1 + mu - sqrt(4 mu + mu^2)) / (1 - 2 mu) and
-    (-3 mu + sqrt(4 mu + mu^2)) / (1 - 2 mu), which sum to 1 exactly.
-    C_B vanishes at the lower endpoint and C_C at the upper; for
-    mu <= 1/6 the interval is empty.  At mu = 1/2 the expression has a
-    removable singularity; its limit (1/3, 2/3), where both clone
-    fidelities exceed 1/2, is returned for mu within 1e-12 below 1/2.
+    (1 + mu - sqrt(4 mu + mu^2)) / (1 - 2 mu) = 1 / (1 + mu + sqrt(4 mu + mu^2))
+    and 1 minus it.  The second form, evaluated here, has no cancellation,
+    so both ends are exact to rounding up to mu = 1/2 and sum to 1
+    exactly.  C_B vanishes at the lower endpoint and C_C at the upper; for
+    mu <= 1/6 the interval is empty.  For mu within 1e-12 below 1/2 the
+    limit (1/3, 2/3), where both clone fidelities exceed 1/2, is returned
+    as those two floats.
     """
     if not MU_THRESHOLD < mu_value <= 0.5:
         raise ValueError(f"mu={mu_value} outside the interval (1/6, 1/2]")
     if mu_value >= 0.5 - 1e-12:
         return 1.0 / 3.0, 2.0 / 3.0
-    root = math.sqrt(4.0 * mu_value + mu_value**2)
-    denom = 1.0 - 2.0 * mu_value
-    return (1.0 + mu_value - root) / denom, (-3.0 * mu_value + root) / denom
+    lo = 1.0 / (1.0 + mu_value + math.sqrt(4.0 * mu_value + mu_value**2))
+    return lo, 1.0 - lo
 
 
 @dataclass(frozen=True)
@@ -248,41 +253,65 @@ class DeltaSweepReport:
         }
 
 
-def _analyze(mus: np.ndarray, grid: SweepGrid) -> tuple:
-    """One MuAnalysis per mu, each mu strictly inside (1/6, 1/2).
-
-    Every mu's three p-scans go through one `_gap` evaluation; each
-    analysis reads its own slices of the result.
-    """
-    if mus.size == 0:
-        return ()
-    regions = [physical_region(m) for m in mus.tolist()]
-    h = 1e-4
+def _scans(region: tuple[float, float], p_step: float) -> tuple:
+    """The five p-scans of one mu's analysis, given its physical region:
+    rising, scan + h, scan, scan - h and inside."""
+    lo, hi = region
     # the combined clone EoF must be nondecreasing from p = 1/2 to the
     # upper region boundary
-    rising = [np.append(np.arange(0.5, hi, grid.p_step), hi) for _, hi in regions]
+    rising = np.append(np.arange(0.5, hi, p_step), hi)
     # inflection of the B-clone EoF, scanned where the concurrence is
     # safely positive up to 2/3 (curvature is +inf-like at the crossing
     # and decreases with p); central second difference, h = 1e-4
-    scans = [np.arange(lo + 1e-3, 2.0 / 3.0 + 1e-12, 1e-3) for lo, _ in regions]
+    scan = np.arange(lo + 1e-3, 2.0 / 3.0 + 1e-12, 1e-3)
     # within the physical region the gap bottoms out where a concurrence
     # vanishes, i.e. at the region boundary
-    inside = [np.append(np.arange(lo, hi, grid.p_step), hi) for lo, hi in regions]
-    parts = [
-        part
-        for ps, scan, region in zip(rising, scans, inside)
-        for part in (ps, scan + h, scan, scan - h, region)
-    ]
-    sizes = [part.size for part in parts]
-    *_, eof_b, eof_c, values = _gap(np.repeat(np.repeat(mus, 5), sizes), np.concatenate(parts))
+    inside = np.append(np.arange(lo, hi, p_step), hi)
+    return rising, scan + _H, scan, scan - _H, inside
+
+
+def _analyze(mus: np.ndarray, grid: SweepGrid) -> tuple:
+    """One MuAnalysis per mu, each mu strictly inside (1/6, 1/2).
+
+    The mus are taken in order, in groups of at most `_BLOCK_POINTS` scan
+    points (or one mu, if its scans alone hold more), and each group is
+    analysed before the next one's scans are formed, so the scans of every
+    mu are never held at once.
+    """
+    analyses, group, points = [], [], 0
+    for mu_value in mus.tolist():
+        region = physical_region(mu_value)
+        parts = _scans(region, grid.p_step)
+        size = sum(part.size for part in parts)
+        if group and points + size > _BLOCK_POINTS:
+            analyses += _analyze_group(group, grid)
+            group, points = [], 0
+        group.append((mu_value, region, parts))
+        points += size
+    if group:
+        analyses += _analyze_group(group, grid)
+    return tuple(analyses)
+
+
+def _analyze_group(group: list, grid: SweepGrid) -> list:
+    """One MuAnalysis per (mu, region, scans) of a group.
+
+    Every mu's scans go through one `_gap` evaluation; each analysis reads
+    its own slices of the result.
+    """
+    sizes = [part.size for _, _, parts in group for part in parts]
+    mus = np.repeat([mu_value for mu_value, _, _ in group], 5)
+    *_, eof_b, eof_c, values = _gap(
+        np.repeat(mus, sizes), np.concatenate([part for _, _, parts in group for part in parts])
+    )
     edges = np.cumsum([0, *sizes]).tolist()
 
     analyses = []
-    for i, ((p_lo, p_hi), scan, region) in enumerate(zip(regions, scans, inside)):
+    for i, (_, (p_lo, p_hi), (_, _, scan, _, region)) in enumerate(group):
         rise, up, mid, down, gaps = (slice(*edges[j:j + 2]) for j in range(5 * i, 5 * i + 5))
         mono_violations = int(np.sum(np.diff(eof_b[rise] + eof_c[rise]) < -grid.tolerance))
 
-        second = (eof_b[up] - 2.0 * eof_b[mid] + eof_b[down]) / h**2
+        second = (eof_b[up] - 2.0 * eof_b[mid] + eof_b[down]) / _H**2
         negative = np.nonzero(second < 0)[0]
         if negative.size == 0:
             inflection = None
@@ -299,22 +328,29 @@ def _analyze(mus: np.ndarray, grid: SweepGrid) -> tuple:
             argmin_p <= p_lo + grid.p_step + 1e-12 or argmin_p >= p_hi - grid.p_step - 1e-12
         )
         analyses.append(MuAnalysis(mono_violations, inflection, on_boundary))
-    return tuple(analyses)
+    return analyses
 
 
 def sweep_delta(grid: SweepGrid | None = None) -> DeltaSweepReport:
     """Dense delta >= 0 certification over the (mu, p) rectangle.
 
-    Evaluates the gap on the full grid, then for every mu inside
-    (1/6, 1/2) checks (a) the combined clone EoF is nondecreasing on
-    [1/2, p_hi], (b) the inflection point of the B-clone EoF sits above
-    0.56, and (c) the gap's minimizer over the physical region lies on
-    the region boundary.
+    Evaluates the gap on the full grid, one block of mu rows at a time
+    written into the report's (mu, p) arrays, so no intermediate of the
+    whole grid is held; then for every mu inside (1/6, 1/2) checks (a)
+    the combined clone EoF is nondecreasing on [1/2, p_hi], (b) the
+    inflection point of the B-clone EoF sits above 0.56, and (c) the
+    gap's minimizer over the physical region lies on the region boundary.
+    Every value is elementwise, so the blocks change no bit.
     """
     grid = grid or SweepGrid()
     mu_values = grid.mu_values()
     p_values = grid.p_values()
-    f_b, f_c, c_b, c_c, _, _, delta_grid = _gap(mu_values[:, None], p_values)
+    shape = (mu_values.size, p_values.size)
+    c_b, c_c, delta_grid = np.empty(shape), np.empty(shape), np.empty(shape)
+    step = max(1, _BLOCK_POINTS // p_values.size)
+    for i in range(0, mu_values.size, step):
+        rows = slice(i, i + step)
+        f_b, f_c, c_b[rows], c_c[rows], _, _, delta_grid[rows] = _gap(mu_values[rows, None], p_values)
 
     flat = int(np.argmin(delta_grid))
     mi, pi = np.unravel_index(flat, delta_grid.shape)

@@ -235,15 +235,18 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 
 def apply_local(state: StateVector, op: np.ndarray, target: int) -> StateVector:
-    """Apply a one-qubit operator to the target qubit, identity elsewhere."""
+    """Apply a one-qubit operator to the target qubit, identity elsewhere.
+
+    One matmul on the (2^target, 2, 2^(m - target - 1)) view of the
+    amplitudes, whose middle axis is the target; its result is a new array.
+    """
     _check_position(target, state.num_qubits)
     op = np.asarray(op, dtype=complex)
     if op.shape != (2, 2):
         raise ValueError("operator must be a 2x2 matrix")
-    psi = state._tensor_view()
-    out = np.tensordot(op, psi, axes=([1], [target]))
-    out = np.moveaxis(out, 0, target)
-    return StateVector(out.reshape(-1), state.num_qubits)
+    m = state.num_qubits
+    view = state.amplitudes.reshape(1 << target, 2, 1 << (m - target - 1))
+    return StateVector._owned(np.matmul(op, view).reshape(-1), m)
 
 
 def _pair_blocks(amps: np.ndarray, num_qubits: int, pair: tuple[int, int]) -> np.ndarray:

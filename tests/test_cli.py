@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -602,7 +603,7 @@ class TestCsvByteIdentity:
         assert captured.err == summary
 
     def test_stdout_equals_output_file_over_several_blocks(self, tmp_path, capsys):
-        # 51 x 2001 rows: seven blocks of 8 mu
+        # 51 x 2001 rows: twenty-six blocks of 2 mu
         args = ["sweep-delta", "--mu-step", "0.01", "--p-step", "0.0005"]
         out = tmp_path / "fine.csv"
         assert main(args + ["--output", str(out)]) == 0
@@ -616,37 +617,62 @@ class TestCsvByteIdentity:
     @pytest.mark.parametrize("to_file", [True, False])
     def test_failure_in_a_later_block_writes_nothing(self, tmp_path, monkeypatch, to_file):
         # _cells formats mu, the three shared columns, then the three grids
-        # of each of seven blocks of 8 mu: call 11 opens the third block
-        cells = cli._cells
-        calls = []
-
-        def fails_in_the_third_block(x):
-            calls.append(np.shape(x))
-            if len(calls) == 4 + 2 * 3 + 1:
-                raise MemoryError
-            return cells(x)
-
-        monkeypatch.setattr(cli, "_cells", fails_in_the_third_block)
+        # of each of twenty-six blocks of 2 mu: call 11 opens the third block
+        calls = fail_in_the_third_block(monkeypatch)
         out = tmp_path / "grid.csv"
         argv = ["sweep-delta", "--mu-step", "0.01", "--p-step", "0.0005"]
         code, stdout, stderr = call_main(argv + (["--output", str(out)] if to_file else []))
         assert (code, stdout, stderr) == (2, "", "error: out of memory\n")
-        assert calls[-1] == (8, 2001)
+        assert calls[-1] == (2, 2001)
         assert not out.exists()
 
-    def test_default_delta_grid_holds_one_copy_of_the_body(self, tmp_path):
-        # the formatted blocks (7.5 MB) and one block's cells fit; a second
-        # copy of the body, joined or decoded, does not
-        out = tmp_path / "grid.csv"
-        argv = ["sweep-delta", "--output", str(out)]
-        assert call_main(argv)[0] == 0  # warm-up
-        tracemalloc.start()
+    def test_failure_in_a_later_block_writes_nothing_to_a_pipe(self, tmp_path, monkeypatch):
+        # two blocks (about 600 kB) are formatted before the failure, more
+        # than a pipe holds: a reader drains whatever the command writes
+        calls = fail_in_the_third_block(monkeypatch)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+
+        def read_all():
+            with open(fifo, "rb") as pipe:
+                received.append(pipe.read())
+
+        reader = threading.Thread(target=read_all, daemon=True)
+        reader.start()
+        argv = ["sweep-delta", "--mu-step", "0.01", "--p-step", "0.0005", "--output", str(fifo)]
         try:
-            assert call_main(argv)[0] == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            code, stdout, stderr = call_main(argv)
         finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 2**20
+            # a reader still waiting for a writer is let go by an empty one
+            for _ in range(200):
+                with contextlib.suppress(OSError):  # ENXIO: the reader has not opened yet
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(timeout=0.05)
+                if not reader.is_alive():
+                    break
+        assert not reader.is_alive()
+        assert (code, stdout, stderr) == (2, "", "error: out of memory\n")
+        assert calls[-1] == (2, 2001)
+        assert received == [b""]
+
+    def test_default_delta_grid_holds_one_block_at_a_time(self, tmp_path):
+        # the report's three grids (2.3 MiB), one block of grid rows or
+        # scans, and one block of lines fit; the whole body (7.5 MB), or
+        # the gap of every grid point or every scan at once, does not
+        assert sweep_delta_peak(tmp_path, 0.001) <= 6 * 2**20
+
+    def test_finer_p_grid_grows_the_peak_by_the_report_alone(self, tmp_path):
+        # halving the p-step doubles the report's p columns and (mu, p)
+        # grids (2.3 MiB more); the body, 7.5 MB more, must add nothing.
+        # The slack is for what grows by a row, not by the grid: the p, f_b
+        # and f_c cells, formatted once (36 B per p), and the per-mu scans,
+        # which fall into groups differently at another p-step
+        coarse, fine = (ent.sweep_delta(ent.SweepGrid(p_step=step)) for step in (0.001, 0.0005))
+        arrays = ("p_values", "fidelity_b", "fidelity_c", "concurrence_b", "concurrence_c", "delta_values")
+        grown = sum(getattr(fine, name).nbytes - getattr(coarse, name).nbytes for name in arrays)
+        growth = sweep_delta_peak(tmp_path, 0.0005) - sweep_delta_peak(tmp_path, 0.001)
+        assert growth <= grown + 2**18
 
     @pytest.mark.parametrize(
         "value", [-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, np.nan, np.inf, -np.inf]
@@ -670,6 +696,34 @@ class TestCsvByteIdentity:
         )
         rows = [row for mu_value in mus for row in oracle_delta_rows(mu_value, linspace_grid(0.001))]
         assert_same_text(out.read_bytes().decode("utf-8"), oracle_csv(cli._DELTA_HEADER, rows))
+
+
+def fail_in_the_third_block(monkeypatch) -> list:
+    """Make cli._cells raise MemoryError on its eleventh call, which opens
+    the third block of grid cells; returns the shapes of the calls made."""
+    cells = cli._cells
+    calls = []
+
+    def fails_in_the_third_block(x):
+        calls.append(np.shape(x))
+        if len(calls) == 4 + 2 * 3 + 1:
+            raise MemoryError
+        return cells(x)
+
+    monkeypatch.setattr(cli, "_cells", fails_in_the_third_block)
+    return calls
+
+
+def sweep_delta_peak(tmp_path, p_step) -> int:
+    """Traced peak bytes of `sweep-delta --p-step P --output F`, after a warm-up."""
+    argv = ["sweep-delta", "--p-step", str(p_step), "--output", str(tmp_path / "grid.csv")]
+    assert call_main(argv)[0] == 0
+    tracemalloc.start()
+    try:
+        assert call_main(argv)[0] == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cell_texts(cells) -> list:

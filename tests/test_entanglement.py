@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,19 @@ class TestPhysicalRegion:
                 ent.clone_concurrence(0.5, float(f_b)) == 0.0
                 or ent.clone_concurrence(0.5, float(f_c)) == 0.0
             )
+
+    @pytest.mark.parametrize("mu_value", [0.2, 0.495, 0.5 - 1e-6, 0.5 - 1e-9])
+    def test_endpoints_match_a_decimal_reference(self, mu_value):
+        # (1 + mu - sqrt(4 mu + mu^2)) / (1 - 2 mu) at the float mu, to 50
+        # digits: the cancellation as mu nears 1/2 costs no float digits
+        with decimal.localcontext() as context:
+            context.prec = 50
+            m = decimal.Decimal(mu_value)
+            lo = (1 + m - (4 * m + m * m).sqrt()) / (1 - 2 * m)
+        p_lo, p_hi = ent.physical_region(mu_value)
+        assert p_lo == pytest.approx(float(lo), rel=1e-15, abs=0.0)
+        assert p_hi == pytest.approx(float(1 - lo), rel=1e-15, abs=0.0)
+        assert p_lo + p_hi - 1.0 == 0.0
 
     def test_beyond_half_rejected(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,33 @@ class TestApplyLocal:
         with pytest.raises(ValueError):
             qstate.apply_local(StateVector.basis(0, 2), PAULI_X, 2)
 
+    def test_equals_the_tensordot_route(self):
+        # the operator contracted with the target's axis of the (2,)*m
+        # tensor, its new axis moved back into place: equal bits on the
+        # Paulis, equal to roundoff on random unitaries
+        def tensordot_route(state, op, target):
+            psi = state.amplitudes.reshape([2] * state.num_qubits)
+            return np.moveaxis(np.tensordot(op, psi, axes=([1], [target])), 0, target).reshape(-1)
+
+        rng = np.random.default_rng(11)
+        paulis = (PAULI_X, qstate.PAULI_Y, PAULI_Z, qstate.IDENTITY)
+        for num_qubits in range(1, 9):
+            for _ in range(5):
+                state = StateVector.random(num_qubits, rng)
+                target = int(rng.integers(num_qubits))
+                for op in paulis:
+                    out = qstate.apply_local(state, op, target)
+                    assert np.array_equal(out.amplitudes, tensordot_route(state, op, target))
+                    assert not out.amplitudes.flags.writeable
+                gaussian = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                unitary = np.linalg.qr(gaussian)[0]
+                np.testing.assert_allclose(
+                    qstate.apply_local(state, unitary, target).amplitudes,
+                    tensordot_route(state, unitary, target),
+                    rtol=0.0,
+                    atol=1e-15,
+                )
+
 
 class TestBellProject:
     """Bell projections of one pair (bell_probabilities) and of the sender pairs (the batch)."""
