@@ -5,6 +5,9 @@ and the budget gap delta = input EoF minus the two clones' EoF, plus a
 dense numerical sweep certifying that the gap never goes negative — the
 protocol cannot create entanglement.  `_gap` alone forms F -> C -> EoF
 -> delta, checking mu and p once, for `delta`, `sweep_delta` and the CLI.
+One band check, `_banded`, refuses NaN and any input 1e-12 past its
+interval; one scalar rule, `_maybe_scalar`, returns a Python float when
+every input is 0-d.
 """
 
 import math
@@ -18,6 +21,8 @@ from .qstate import PAULI_Y, DensityMatrix
 
 #: below this input-entanglement level one clone concurrence always vanishes
 MU_THRESHOLD = 1.0 / 6.0
+#: the most points a sweep grid may hold on one axis, and in all
+MAX_GRID_POINTS = 1 << 22
 #: (mu, p) points of one `_gap` evaluation in `sweep_delta`: a block of
 #: grid rows, or a group of per-mu scans
 _BLOCK_POINTS = 1 << 13
@@ -25,13 +30,18 @@ _BLOCK_POINTS = 1 << 13
 _H = 1e-4
 
 
-def _as_float_array(x) -> tuple[np.ndarray, bool]:
+def _banded(x, hi: float, message: str) -> np.ndarray:
+    """x as a float array, refused with `message` unless within 1e-12 of [0, hi]."""
     arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+    # written so that NaN fails it too
+    if not np.all((-1e-12 <= arr) & (arr <= hi + 1e-12)):
+        raise ValueError(message)
+    return arr
 
 
-def _maybe_scalar(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
+def _maybe_scalar(value, *inputs):
+    """value as a Python float if every input is 0-d, else as it is."""
+    return float(value) if all(np.ndim(x) == 0 for x in inputs) else value
 
 
 def mu(alphas) -> float:
@@ -49,17 +59,14 @@ def mu(alphas) -> float:
     return float(abs(a[0] * a[3] - a[1] * a[2]))
 
 
-def _binary_entropy(lam: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(lam)
-    for part in (lam, 1.0 - lam):
-        inner = part > 1e-300
-        out = out - np.where(inner, part * np.log2(np.where(inner, part, 1.0)), 0.0)
-    return out
-
-
 def _eof(x: np.ndarray) -> np.ndarray:
-    """eof_from_concurrence without the range check; clamps x to [0, 1]."""
-    return _binary_entropy((1.0 + np.sqrt(1.0 - np.clip(x, 0.0, 1.0) ** 2)) / 2.0)
+    """eof_from_concurrence without the range check; clamps x to [0, 1].
+
+    lam lies in [1/2, 1], so only 1 - lam can reach 0 (its term is then 0).
+    """
+    lam = (1.0 + np.sqrt(1.0 - np.clip(x, 0.0, 1.0) ** 2)) / 2.0
+    rest = 1.0 - lam
+    return 0.0 - lam * np.log2(lam) - rest * np.log2(np.where(rest > 0.0, rest, 1.0))
 
 
 def eof_from_concurrence(x) -> float:
@@ -69,20 +76,12 @@ def eof_from_concurrence(x) -> float:
     from 0 at x=0 to 1 at x=1.  Accepts scalars or arrays; values within
     1e-12 outside [0, 1] are clamped, anything further raises.
     """
-    arr, scalar = _as_float_array(x)
-    if not np.all((-1e-12 <= arr) & (arr <= 1.0 + 1e-12)):
-        raise ValueError("concurrence outside [0, 1]")
-    return _maybe_scalar(_eof(arr), scalar)
+    return _maybe_scalar(_eof(_banded(x, 1.0, "concurrence outside [0, 1]")), x)
 
 
 def input_entanglement(alphas) -> float:
     """EoF of the pure two-qubit input: eof_from_concurrence(2*mu)."""
     return eof_from_concurrence(min(2.0 * mu(alphas), 1.0))
-
-
-def _check_mu(mu_arr: np.ndarray) -> None:
-    if not np.all((-1e-12 <= mu_arr) & (mu_arr <= 0.5 + 1e-12)):
-        raise ValueError("mu outside [0, 1/2]")
 
 
 def _concurrence(mu_arr: np.ndarray, f_arr: np.ndarray) -> np.ndarray:
@@ -96,12 +95,9 @@ def clone_concurrence(mu_value, fidelity) -> float:
     `fidelity` is the clone's own fidelity (F_B or F_C); the expression
     is the same for either side.  Vectorized over mu and/or fidelity.
     """
-    mu_arr, mu_scalar = _as_float_array(mu_value)
-    f_arr, f_scalar = _as_float_array(fidelity)
-    _check_mu(mu_arr)
-    if not np.all((-1e-12 <= f_arr) & (f_arr <= 1.0 + 1e-12)):
-        raise ValueError("fidelity outside [0, 1]")
-    return _maybe_scalar(_concurrence(mu_arr, f_arr), mu_scalar and f_scalar)
+    mu_arr = _banded(mu_value, 0.5, "mu outside [0, 1/2]")
+    f_arr = _banded(fidelity, 1.0, "fidelity outside [0, 1]")
+    return _maybe_scalar(_concurrence(mu_arr, f_arr), mu_value, fidelity)
 
 
 def wootters_concurrence(rho) -> float:
@@ -132,11 +128,8 @@ def _gap(mu_value, p) -> tuple:
     against its band (1e-12 either side) once; p is clamped to [0, 1], so
     F_B and F_C have p's shape, and the rest broadcasts over mu and p.
     """
-    mu_arr = np.asarray(mu_value, dtype=float)
-    p_arr = np.asarray(p, dtype=float)
-    if not np.all((-1e-12 <= p_arr) & (p_arr <= 1.0 + 1e-12)):
-        raise ValueError("p outside [0, 1]")
-    _check_mu(mu_arr)
+    p_arr = _banded(p, 1.0, "p outside [0, 1]")
+    mu_arr = _banded(mu_value, 0.5, "mu outside [0, 1/2]")
     f_b, f_c = fidelity_curve(np.clip(p_arr, 0.0, 1.0), 4)
     c_b, c_c = _concurrence(mu_arr, f_b), _concurrence(mu_arr, f_c)
     eof_b, eof_c = _eof(c_b), _eof(c_c)
@@ -151,7 +144,7 @@ def delta(mu_value, p) -> float:
     everywhere on [0, 1/2] x [0, 1].  Vectorized over mu and/or p.
     """
     *_, value = _gap(mu_value, p)
-    return _maybe_scalar(np.asarray(value), np.ndim(mu_value) == 0 and np.ndim(p) == 0)
+    return _maybe_scalar(value, mu_value, p)
 
 
 def physical_region(mu_value: float) -> tuple[float, float]:
@@ -187,6 +180,9 @@ class SweepGrid:
         # written so that NaN fails it too
         if not (0.0 < self.mu_step <= 1.0 and 0.0 < self.p_step <= 1.0):
             raise ValueError("grid steps must lie in (0, 1]")
+        # float counts, so that a step too fine for an int (count inf) fails too
+        if np.rint(max(0.5 / self.mu_step, 1.0 / self.p_step)) + 1.0 > MAX_GRID_POINTS:
+            raise ValueError(f"grid steps give an axis of more than {MAX_GRID_POINTS} points")
 
     def mu_values(self) -> np.ndarray:
         """mu over its whole range [0, 1/2]."""
@@ -346,6 +342,8 @@ def sweep_delta(grid: SweepGrid | None = None) -> DeltaSweepReport:
     mu_values = grid.mu_values()
     p_values = grid.p_values()
     shape = (mu_values.size, p_values.size)
+    if shape[0] * shape[1] > MAX_GRID_POINTS:
+        raise ValueError(f"a {shape[0]} x {shape[1]} grid exceeds {MAX_GRID_POINTS} points")
     c_b, c_c, delta_grid = np.empty(shape), np.empty(shape), np.empty(shape)
     step = max(1, _BLOCK_POINTS // p_values.size)
     for i in range(0, mu_values.size, step):

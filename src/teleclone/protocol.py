@@ -227,26 +227,19 @@ def _parity_signs(bits: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (bits & 1)
 
 
-def _frame(fold, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) arrays of 2^num_qubits entries for one fold (_fold).
-
-    The frame takes a state to sign[i] * state[index[i]] at every i:
-    index = i ^ xmask and sign = sign * (-1)^popcount(i & zmask).
-    """
-    xmask, zmask, sign = fold
-    positions = np.arange(1 << num_qubits, dtype=np.intp)
-    return positions ^ xmask, _parity_signs(positions & zmask) * sign
-
-
 def apply_corrections(state: StateVector, plan) -> StateVector:
     """Apply a correction plan.
 
     The plan's Pauli frame (_fold) acts as one gather and one sign: exactly
-    what the plan's one-qubit Paulis, applied in turn, give.
+    what the plan's one-qubit Paulis, applied in turn, give.  The frame
+    takes the state to signs[i] * state[i ^ xmask] at every i, with
+    signs[i] = sign * (-1)^popcount(i & zmask).
     """
     m = state.num_qubits
-    index, sign = _frame(_fold(plan, m), m)
-    return StateVector._owned(state.amplitudes[index] * sign, m)
+    xmask, zmask, sign = _fold(plan, m)
+    positions = np.arange(1 << m, dtype=np.intp)
+    signs = _parity_signs(positions & zmask) * sign
+    return StateVector._owned(state.amplitudes[positions ^ xmask] * signs, m)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,16 @@ from teleclone.cli import main
 from teleclone.cloning import fidelity_curve
 
 
+def refuse_to_allocate(monkeypatch, *names):
+    """Make each named numpy allocator fail the test if it is called."""
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before the grid was refused")
+
+    for name in names:
+        monkeypatch.setattr(np, name, allocate)
+
+
 def read_json(path):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
@@ -804,7 +814,8 @@ class TestNumericOptions:
         assert "outside" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
+    # 5e-324 and 2e-9 ask for inf and 500,000,001 points on the p axis
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "5e-324", "2e-9"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -814,10 +825,29 @@ class TestNumericOptions:
             ["sweep-delta", "--mu", "0.3", "--p", "0.5"],
         ],
     )
-    def test_bad_p_step_exit_2(self, tmp_path, capsys, argv, step):
+    def test_bad_p_step_exit_2(self, tmp_path, monkeypatch, capsys, argv, step):
+        refuse_to_allocate(monkeypatch, "linspace", "empty")
         out = tmp_path / "grid.csv"
         assert main([*argv, f"--p-step={step}", "--output", str(out)]) == 2
         assert "grid steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message, unused",
+        [
+            (["--mu-step", "1e-310"], "grid steps give an axis of more than 4194304 points",
+             ("linspace", "empty")),
+            # each axis within the limit: the grid alone is refused
+            (["--mu-step", "1e-4", "--p-step", "1e-4"], "a 5001 x 10001 grid exceeds 4194304 points",
+             ("empty",)),
+        ],
+        ids=["mu-axis", "grid"],
+    )
+    def test_oversize_grid_exit_2_before_allocating(self, tmp_path, monkeypatch, capsys, argv, message, unused):
+        refuse_to_allocate(monkeypatch, *unused)
+        out = tmp_path / "grid.csv"
+        assert main(["sweep-delta", *argv, "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     # commands that read the option, the other options valid (steps >= 1e-3)

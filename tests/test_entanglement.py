@@ -1,4 +1,5 @@
 import decimal
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,16 @@ from teleclone.cloning import CloneParams, clone_fidelities, clone_pair, fidelit
 from teleclone.qstate import DensityMatrix, StateVector
 
 RT2 = 1 / np.sqrt(2)
+
+
+def two_sided_eof(x):
+    """The EoF as a binary entropy guarded on both sides, the oracle of `_eof`."""
+    lam = (1.0 + np.sqrt(1.0 - np.clip(x, 0.0, 1.0) ** 2)) / 2.0
+    out = np.zeros_like(lam)
+    for part in (lam, 1.0 - lam):
+        inner = part > 1e-300
+        out = out - np.where(inner, part * np.log2(np.where(inner, part, 1.0)), 0.0)
+    return out
 
 
 class TestMu:
@@ -57,6 +68,20 @@ class TestEofFromConcurrence:
     def test_strictly_monotone_on_grid(self):
         values = ent.eof_from_concurrence(np.linspace(0.0, 1.0, 1001))
         assert np.all(np.diff(values) > 0)
+
+    def test_equals_the_two_sided_entropy_bit_for_bit(self):
+        # tobytes compares every bit, the sign of a zero included
+        x = np.linspace(0.0, 1.0, 100001)
+        assert ent._eof(x).tobytes() == two_sided_eof(x).tobytes()
+        zero = ent._eof(np.array([0.0, -0.0, -1e-12]))
+        assert zero.tolist() == [0.0, 0.0, 0.0] and not np.signbit(zero).any()
+
+    @given(st.lists(st.floats(min_value=-1e-12, max_value=1.0 + 1e-12), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_two_sided_entropy_on_draws(self, xs):
+        x = np.array(xs)
+        assert ent._eof(x).tobytes() == two_sided_eof(x).tobytes()
+        assert np.float64(ent._eof(x[0])).tobytes() == np.float64(two_sided_eof(x[0])).tobytes()
 
 
 class TestInputEntanglement:
@@ -335,6 +360,86 @@ class TestSweep:
     def test_unit_steps_accepted(self):
         assert ent.SweepGrid(p_step=1.0).p_values().tolist() == [0.0, 1.0]
         assert ent.SweepGrid(mu_step=1.0).mu_step == 1.0
+
+
+def refuse_to_allocate(monkeypatch, *names):
+    """Make each named numpy allocator fail the test if it is called."""
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before the grid was refused")
+
+    for name in names:
+        monkeypatch.setattr(np, name, allocate)
+
+
+class TestGridLimit:
+    """No axis, and no full sweep grid, holds more than MAX_GRID_POINTS points."""
+
+    @pytest.mark.parametrize(
+        "steps", [{"p_step": 5e-324}, {"mu_step": 1e-310}, {"p_step": 2e-9}, {"mu_step": 1e-7}]
+    )
+    def test_oversize_axis_refused_before_allocating(self, monkeypatch, steps):
+        refuse_to_allocate(monkeypatch, "linspace", "empty")
+        with pytest.raises(ValueError, match=r"^grid steps give an axis of more than 4194304 points$"):
+            ent.SweepGrid(**steps)
+
+    def test_axis_at_the_limit_accepted(self):
+        limit = ent.MAX_GRID_POINTS
+        assert limit == 1 << 22
+        assert ent.SweepGrid(p_step=1.0 / (limit - 1)).p_values().size == limit
+        assert ent.SweepGrid(mu_step=0.5 / (limit - 1)).mu_step == 0.5 / (limit - 1)
+        with pytest.raises(ValueError, match="axis"):
+            ent.SweepGrid(p_step=1.0 / limit)
+
+    def test_oversize_sweep_refused_before_allocating(self, monkeypatch):
+        refuse_to_allocate(monkeypatch, "empty")
+        with pytest.raises(ValueError, match=r"^a 5001 x 10001 grid exceeds 4194304 points$"):
+            ent.sweep_delta(ent.SweepGrid(mu_step=1e-4, p_step=1e-4))
+
+
+#: (call of one input, upper edge of its band, the refusal's message)
+BANDS = {
+    "eof-concurrence": (ent.eof_from_concurrence, 1.0, "concurrence outside [0, 1]"),
+    "clone-mu": (lambda x: ent.clone_concurrence(x, 0.8), 0.5, "mu outside [0, 1/2]"),
+    "clone-fidelity": (lambda x: ent.clone_concurrence(0.3, x), 1.0, "fidelity outside [0, 1]"),
+    "delta-mu": (lambda x: ent.delta(x, 0.5), 0.5, "mu outside [0, 1/2]"),
+    "delta-p": (lambda x: ent.delta(0.3, x), 1.0, "p outside [0, 1]"),
+}
+
+
+class TestBands:
+    """Every input is checked by one band: 1e-12 either side of its interval."""
+
+    @pytest.mark.parametrize("past", ["nan", "inf", "-inf", "low", "high"])
+    @pytest.mark.parametrize("band", sorted(BANDS))
+    def test_refuses_with_its_message(self, band, past):
+        call, hi, message = BANDS[band]
+        edges = {"low": -2e-12, "high": hi + 2e-12}
+        bad = edges[past] if past in edges else float(past)
+        for value in (bad, np.array(bad), [0.2, bad]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(value)
+
+    @pytest.mark.parametrize("band", sorted(BANDS))
+    def test_accepts_1e12_past_either_edge(self, band):
+        call, hi, _ = BANDS[band]
+        for value in (-1e-12, hi + 1e-12):
+            assert np.isfinite(call(value))
+
+    def test_p_is_checked_before_mu_and_mu_before_fidelity(self):
+        with pytest.raises(ValueError, match=r"^p outside"):
+            ent.delta(np.nan, np.nan)
+        with pytest.raises(ValueError, match=r"^mu outside"):
+            ent.clone_concurrence(np.nan, np.nan)
+
+    @pytest.mark.parametrize("band", sorted(BANDS))
+    def test_scalar_inputs_give_a_float_and_arrays_an_array(self, band):
+        call = BANDS[band][0]
+        for value in (0.4, np.float64(0.4), np.array(0.4)):
+            assert type(call(value)) is float
+        for value in ([0.4], np.array([0.4, 0.2]), np.full((2, 3), 0.4)):
+            result = call(value)
+            assert type(result) is np.ndarray and result.shape == np.shape(value)
 
 
 class TestNanRejected:

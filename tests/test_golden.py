@@ -24,6 +24,9 @@ GOLDEN = Path(__file__).parent / "golden"
 #: golden name -> (argv, payload suffix or None for a refusal, exit code)
 COMMANDS = {
     "sweep-delta": (["sweep-delta"], ".csv.sha256", 0),
+    # one mu's curve and one point: the forms that evaluate the gap outside sweep_delta
+    "sweep-delta-mu0.3": (["sweep-delta", "--mu", "0.3"], ".csv", 0),
+    "sweep-delta-mu0.3-p0.5": (["sweep-delta", "--mu", "0.3", "--p", "0.5"], ".csv", 0),
     "sweep-fidelity": (["sweep-fidelity"], ".csv", 0),
     "mixed-seed7": (["mixed", "--seed", "7"], ".csv", 0),
     "mixed-n2-seed9-samples10": (["mixed", "--n", "2", "--seed", "9", "--samples", "10"], ".csv", 0),
