@@ -283,8 +283,10 @@ def _checked_input(psi: StateVector, n: int, n_ref: int = 0) -> StateVector:
     if psi.num_qubits != n + n_ref:
         raise ValueError(f"input register size does not match n={n}")
     _check_budget(n, n_ref)
-    if not abs(psi.norm - 1.0) <= 1e-6:  # NaN fails it too
-        raise ValueError(f"input state norm {psi.norm} is not 1 within 1e-6")
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
+        norm = psi.norm
+    if not abs(norm - 1.0) <= 1e-6:  # NaN fails it too
+        raise ValueError(f"input state norm {norm} is not 1 within 1e-6")
     return psi.normalized()
 
 

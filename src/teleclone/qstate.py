@@ -249,32 +249,17 @@ def apply_local(state: StateVector, op: np.ndarray, target: int) -> StateVector:
     return StateVector._owned(np.matmul(op, view).reshape(-1), m)
 
 
-def _pair_blocks(amps: np.ndarray, num_qubits: int, pair: tuple[int, int]) -> np.ndarray:
-    """(rows, 2^hi, 2, 2^mid, 2, 2^lo) view (no copy) of (rows, 2^m) amplitudes.
-
-    hi, mid and lo are the qubits before, between and after the pair, and
-    axes 2 and 4 its a_i and a_j (swapped when i > j), so view[:, :, a, :, b]
-    is the (a_i, a_j) = ab block b_ab, which keeps the other qubits in their
-    relative order.
-    """
-    i, j = pair
-    first, last = sorted(pair)
-    view = amps.reshape(
-        len(amps), 1 << first, 2, 1 << (last - first - 1), 2, 1 << (num_qubits - last - 1)
-    )
-    return view.swapaxes(2, 4) if i > j else view
-
-
 def _bell_sums(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, 2, 2) block norms |b_ab|^2 and (rows, 2) cross terms 2 Re<b00, b11>, 2 Re<b01, b10>.
 
-    Two batched reductions of a _pair_blocks view's float64 view, with no
-    copy and no per-row loop; the cross terms are the real overlaps of the
-    a_i = 0 blocks with their partners (a_j reversed).
+    Two batched reductions of the float64 view of a walk step's
+    (rows, 2, 2, rest) view, whose leading axes are the pair's a_i and a_j,
+    with no copy and no per-row loop; the cross terms are the real overlaps
+    of the a_i = 0 blocks with their partners (a_j reversed).
     """
     f = view.view(np.float64)
-    norms = np.einsum("rhambl,rhambl->rab", f, f)
-    cross = 2 * np.einsum("rhmbl,rhmbl->rb", f[:, :, 0], f[:, :, 1, :, ::-1])
+    norms = np.einsum("rabx,rabx->rab", f, f)
+    cross = 2 * np.einsum("rbx,rbx->rb", f[:, 0], f[:, 1, ::-1])
     return norms, cross
 
 
@@ -289,7 +274,7 @@ def _weights_from_sums(norms, cross) -> tuple:
 
 
 def _bell_weights(view: np.ndarray) -> np.ndarray:
-    """(rows, 4) _weights_from_sums of every row of a _pair_blocks view."""
+    """(rows, 4) _weights_from_sums of every row of a walk step's (rows, 2, 2, rest) view."""
     norms, cross = _bell_sums(view)
     return np.stack(_weights_from_sums(norms.transpose(1, 2, 0), cross.T), axis=1)
 
@@ -303,8 +288,11 @@ def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=
     draw, weighed by _bell_weights (one trial, the draw of every seeded
     round, is finished in Python floats from _bell_sums, with the same rule
     and the same bounds); with neither, all 4^k branches, in
-    BellOutcome.all_outcomes order.  Only kept branches are formed, each once,
-    from the step's _pair_blocks view.  Returns the rows (sqrt(2)^k times the
+    BellOutcome.all_outcomes order.  The register is reordered once, every
+    pair's a_i and a_j first, in walk order, then the other qubits in their
+    order, so each step measures the leading pair of its (rows, 2, 2, rest)
+    view, whose [:, a, b] is the (a_i, a_j) = ab block b_ab.  Only kept
+    branches are formed, each once.  Returns the rows (sqrt(2)^k times the
     projected state: squared norm / 2^k is the joint probability), each row's
     k element indices (a tuple per row) and, if sampled, each trial's row;
     rows are kept in ascending (previous row, element) order.
@@ -314,10 +302,11 @@ def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=
         _check_position(q, num_qubits)
     if len(set(positions)) != len(positions):
         raise ValueError("pair positions must be distinct")
-    rows, m, removed, elements = amps[None, :], num_qubits, [], [()]
+    order = positions + [q for q in range(num_qubits) if q not in positions]
+    rows, elements = amps.reshape([2] * num_qubits).transpose(order).reshape(1, -1), [()]
     trials = np.zeros(0 if draws is None else len(draws), dtype=np.intp)
-    for step, pair in enumerate(pairs):
-        view = _pair_blocks(rows, m, [q - sum(r < q for r in removed) for q in pair])
+    for step in range(len(pairs)):
+        view = rows.reshape(len(rows), 2, 2, rows.shape[1] // 4)  # no -1: rows may be empty
         if outcome is not None:
             keys = [_BELL_ORDER.index(outcome[step])]
         elif draws is not None and len(draws) == 1:
@@ -342,7 +331,7 @@ def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=
             keys, trials = seen.nonzero()[0].tolist(), (seen.cumsum() - 1).take(code)
         else:
             keys = range(4 * len(rows))
-        blocks = [view[:, :, a, :, b, :] for a in (0, 1) for b in (0, 1)]  # b00, b01, b10, b11
+        blocks = [view[:, a, b] for a in (0, 1) for b in (0, 1)]  # b00, b01, b10, b11
         branches = np.empty((len(keys),) + blocks[0].shape[1:], dtype=complex)
         for branch, key in zip(branches, keys):
             row, e = divmod(key, 4)  # PHI+/-: b00 +/- b11; PSI+/-: b01 +/- b10
@@ -350,8 +339,7 @@ def _bell_walk(amps: np.ndarray, num_qubits: int, pairs, *, outcome=None, draws=
             combine(blocks[e // 2][row], blocks[3 - e // 2][row], out=branch)
         del view, blocks  # the last views of the previous rows: free them first
         elements = [elements[key // 4] + (key % 4,) for key in keys]
-        rows, m = branches.reshape(len(keys), 1 << (m - 2)), m - 2  # no -1: keys may be empty
-        removed.extend(pair)
+        rows = branches
     return rows, elements, trials
 
 

@@ -1027,7 +1027,8 @@ class TestRunArguments:
             return ",".join(self.unit_tokens(data, count)), True
         if kind == "norm":
             scale = data.draw(
-                st.one_of(st.floats(0.0, 1.0 - 2e-6), st.floats(1.0 + 2e-6, 1e6))
+                # up to past the float range: a norm that overflows is refused the same way
+                st.one_of(st.floats(0.0, 1.0 - 2e-6), st.floats(1.0 + 2e-6, 1e300))
             )
             return ",".join(repr(float(t) * scale) for t in self.unit_tokens(data, dim)), True
         if kind == "basis":
@@ -1058,6 +1059,14 @@ class TestRunArguments:
             extra = "--seed=5" if seeded else "--outcome=" + ",".join(["PHI+"] * n)
         else:
             spec, extra = "ghz", "--outcome=" + self.bad_outcome(data, n)
+        self.assert_refused(tmp_path_factory, n, spec, extra)
+
+    def test_overflowing_norm_exit_2(self, tmp_path_factory):
+        # the squared norm is past the float range: inf, refused by the norm gate
+        self.assert_refused(tmp_path_factory, 2, "1e308,1e308,0,0", "--seed=1")
+
+    @staticmethod
+    def assert_refused(tmp_path_factory, n, spec, extra):
         out = tmp_path_factory.mktemp("run") / "t.json"
         # '=': an amplitude string such as '-0.5,...' is no flag
         argv = ["run", f"--n={n}", f"--input={spec}", extra, f"--output={out}"]
@@ -1065,9 +1074,8 @@ class TestRunArguments:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before any arithmetic warns
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own usage errors
-                code = exc.code
+            code = main(argv)
         assert code == 2, (argv, err.getvalue())
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
         assert not out.exists()

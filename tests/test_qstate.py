@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from teleclone.qstate import (
 from oracle import measure_pairs, sender_pairs, tensordot_residual
 
 RT2 = 1 / np.sqrt(2)
+
+# a walk over every qubit of six: pairs in both orders, no pair adjacent
+ALL_SIX = [(5, 1), (0, 3), (4, 2)]
 
 
 def bell_state() -> StateVector:
@@ -140,7 +144,8 @@ class TestApplyLocal:
 
 
 class TestBellProject:
-    """Bell projections of one pair (bell_probabilities) and of the sender pairs (the batch)."""
+    """Bell projections of one pair (bell_probabilities), of any pairs (the walk)
+    and of the sender pairs (the batch)."""
 
     def test_self_projection(self):
         probs = qstate.bell_probabilities(bell_state(), (0, 1))
@@ -174,6 +179,35 @@ class TestBellProject:
                 assert abs(probs[element] - expected) <= 1e-12
                 np.testing.assert_allclose(row / np.sqrt(2), reference, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("pairs", [[(0, 3), (4, 1)], ALL_SIX], ids=["two-pairs", "all-six"])
+    def test_forced_and_all_branch_walks_match_oracle(self, pairs):
+        state = StateVector.random(6, np.random.default_rng(66))
+        rows, elements, _ = qstate._bell_walk(state.amplitudes, 6, pairs)
+        assert elements == list(itertools.product(range(4), repeat=len(pairs)))
+        for row, indices in zip(rows, elements):
+            outcome = BellOutcome(tuple(qstate._BELL_ORDER[e] for e in indices))
+            (forced,), _, _ = qstate._bell_walk(
+                state.amplitudes, 6, pairs, outcome=outcome.elements
+            )
+            _, expected, prob = measure_pairs(state, pairs, outcome=outcome)
+            np.testing.assert_array_equal(forced, row)
+            assert abs(np.vdot(row, row).real / 2 ** len(pairs) - prob) <= 1e-12
+            got = row / np.linalg.norm(row)
+            np.testing.assert_allclose(got, expected.amplitudes, rtol=0, atol=1e-12)
+
+    def test_forced_walk_holds_one_register_copy(self):
+        # the walk reorders the register once: at 20 qubits one 16 MiB copy,
+        # then the 4 MiB first branch beside it; later branches are smaller
+        amps = StateVector.basis(0, 20).amplitudes
+        pairs = [(19, 2), (7, 11), (0, 5)]
+        tracemalloc.start()
+        try:
+            qstate._bell_walk(amps, 20, pairs, outcome=[BellElement.PHI_PLUS] * 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= amps.nbytes + amps.nbytes // 4 + 2**20
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_outcome_probabilities_match_tensordot_reference(self, n):
         # project the sender pairs one after another with the reference contraction
@@ -201,13 +235,11 @@ class TestSampledWalk:
     @pytest.mark.parametrize("state_seed", [60, 61])
     def test_draws_match_oracle(self, state_seed):
         state = StateVector.random(6, np.random.default_rng(state_seed))
-        for s in range(50):
-            draws = np.random.default_rng(s).random((1, len(self.PAIRS)))
-            (row,), (elements,), trials = qstate._bell_walk(
-                state.amplitudes, 6, self.PAIRS, draws=draws
-            )
-            outcome, expected, _ = measure_pairs(state, self.PAIRS, rng=np.random.default_rng(s))
-            assert tuple(qstate._BELL_ORDER[e] for e in elements) == outcome.elements, s
+        for pairs, s in itertools.product([self.PAIRS, ALL_SIX], range(50)):
+            draws = np.random.default_rng(s).random((1, len(pairs)))
+            (row,), (elements,), trials = qstate._bell_walk(state.amplitudes, 6, pairs, draws=draws)
+            outcome, expected, _ = measure_pairs(state, pairs, rng=np.random.default_rng(s))
+            assert tuple(qstate._BELL_ORDER[e] for e in elements) == outcome.elements, (pairs, s)
             assert trials.tolist() == [0]
             got = row / np.linalg.norm(row)
             np.testing.assert_allclose(got, expected.amplitudes, rtol=0, atol=1e-12)
@@ -222,18 +254,18 @@ class TestSampledWalk:
 
     def test_trials_in_one_call_equal_one_trial_calls(self):
         state = StateVector.random(6, np.random.default_rng(62))
-        draws = np.random.default_rng(63).random((300, len(self.PAIRS)))
-        rows, elements, trials = qstate._bell_walk(state.amplitudes, 6, self.PAIRS, draws=draws)
-        singles = [
-            qstate._bell_walk(state.amplitudes, 6, self.PAIRS, draws=draw[None])
-            for draw in draws
-        ]
-        assert elements == sorted({single_elements for _, (single_elements,), _ in singles})
-        assert len(elements) > 4  # the draws reach several rows
-        for trial, (single_rows, (single_elements,), single_trials) in zip(trials, singles):
-            assert elements[trial] == single_elements
-            np.testing.assert_array_equal(rows[trial], single_rows[0])
-            assert single_trials.tolist() == [0]
+        for pairs in (self.PAIRS, ALL_SIX):
+            draws = np.random.default_rng(63).random((300, len(pairs)))
+            rows, elements, trials = qstate._bell_walk(state.amplitudes, 6, pairs, draws=draws)
+            singles = [
+                qstate._bell_walk(state.amplitudes, 6, pairs, draws=draw[None]) for draw in draws
+            ]
+            assert elements == sorted({single_elements for _, (single_elements,), _ in singles})
+            assert len(elements) > 4  # the draws reach several rows
+            for trial, (single_rows, (single_elements,), single_trials) in zip(trials, singles):
+                assert elements[trial] == single_elements
+                np.testing.assert_array_equal(rows[trial], single_rows[0])
+                assert single_trials.tolist() == [0]
 
     @pytest.mark.parametrize("pair_in_00", [False, True])
     def test_draws_at_and_beside_each_bound(self, pair_in_00):
@@ -245,7 +277,10 @@ class TestSampledWalk:
         if pair_in_00:
             amps[1], amps[:, :, :, 1] = 0, 0  # qubits 0 and 3, the pair, in |0>
         amps = amps.reshape(-1) / np.linalg.norm(amps)
-        weights = np.maximum(qstate._bell_weights(qstate._pair_blocks(amps[None], 6, pair)), 0.0)
+        # the walk's first step: the pair's qubits lead, the rest follow in order
+        order = list(pair) + [q for q in range(6) if q not in pair]
+        view = np.ascontiguousarray(amps.reshape([2] * 6).transpose(order)).reshape(1, 2, 2, -1)
+        weights = np.maximum(qstate._bell_weights(view), 0.0)
         bounds = (weights.cumsum(1) / weights.sum(1)[:, None])[0, :3]
         assert (weights[0, 2:] == 0).all() == pair_in_00
         draws = [
