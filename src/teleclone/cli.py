@@ -9,13 +9,16 @@ significant digits), never quoted, with LF line endings, so that
 identical configs produce byte-identical files; JSON output is
 sorted-key.  One vectorized cell kernel, `_cells`, writes the '%.12g'
 bytes of every CSV command (the `ok` flag of `mixed` is the cell of
-0.0 or 1.0), and `_lines` joins cells into lines.  A CSV body is a
-sequence of such blocks of lines, and `_write_csv` writes the header,
-then each block as it is formatted, so `sweep-delta` holds one block of
-its body at a time, never the whole.  `_open_output` alone knows the
-target: an `--output` file is written beside its path and moved onto it
-only when whole, and stdout, a device or a pipe gets a buffer that is
-written out only when the payload is whole, so a command that fails
+0.0 or 1.0), and `_lines` joins cells into lines.  Commands compute,
+`main` writes: a command returns its exit code, its payload (ASCII
+bytes in blocks: a CSV header line, then blocks of at most
+`_BLOCK_LINES` lines formatted as they are asked for, or one JSON
+document) and its summary, and `main` alone writes the payload through
+`_open_output` and the summary beside it, on stderr when the payload
+goes to stdout (no `--output`, or `-`) and on stdout otherwise.  An
+`--output` file is written beside its path a block at a time and moved
+onto it only when whole; stdout, a device or a pipe gets a buffer that
+holds the whole payload until it is whole.  A command that fails
 leaves no partial file, nothing on stdout and nothing on a pipe.
 """
 
@@ -42,7 +45,7 @@ from .qstate import StateVector
 
 @contextlib.contextmanager
 def _open_output(path: str | None):
-    """A text handle for the payload, which reaches its target only whole.
+    """A binary handle for the payload, which reaches its target only whole.
 
     The one place that knows the target.  A regular file (new, or reached
     through a symlink, which stays one) is written to a new file beside
@@ -53,19 +56,19 @@ def _open_output(path: str | None):
     removed and the target is left as it was: no partial file, nothing on
     stdout and nothing on a pipe.
     """
-    if path is None or path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
-        buffer = io.StringIO()
+    if path in (None, "-") or (os.path.exists(path) and not os.path.isfile(path)):
+        buffer = io.BytesIO()
         yield buffer
-        if path is None or path == "-":
-            sys.stdout.write(buffer.getvalue())
+        if path in (None, "-"):
+            sys.stdout.write(buffer.getvalue().decode("ascii"))
         else:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
+            with open(path, "wb") as handle:
                 handle.write(buffer.getvalue())
         return
     target = os.path.realpath(path)  # through a symlink, which stays one
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        handle = open(tmp, "x", encoding="utf-8", newline="")
+        handle = open(tmp, "xb")
     except OSError as exc:  # name the path asked for, not the temporary
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
@@ -79,7 +82,7 @@ def _open_output(path: str | None):
 
 #: bytes per cell: '%.12g' of a float64 takes at most 19 ('-1.23456789012e-308')
 _WIDTH = 20
-#: lines of sweep-delta rows formatted at once
+#: lines of a CSV body formatted at once, at most
 _BLOCK_LINES = 4096
 #: k = the number of these bounds x reaches.  For k in 1..4 (x in
 #: [1e-4, 1e-3) .. [0.1, 1)), x * _SCALE[k] = x * 10^(16 - k) rounds to
@@ -172,23 +175,21 @@ def _lines(*fields) -> bytes:
     return buf.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path: str | None, header, blocks: Iterable[bytes]) -> None:
-    """Write the header line, then each formatted block of lines as it comes.
-
-    `blocks` may be a generator that formats each block only when asked
-    for it, so one block is held at a time; `_open_output` keeps a failure
-    while formatting from leaving a partial payload anywhere.
-    """
-    with _open_output(path) as handle:
-        handle.write(",".join(header) + "\n")
-        for block in blocks:
-            handle.write(block.decode("ascii"))
+def _csv(header, blocks: Iterable[bytes]) -> Iterator[bytes]:
+    """A CSV payload: the header line, then each block as it is formatted."""
+    yield (",".join(header) + "\n").encode("ascii")
+    yield from blocks
 
 
-def _emit_summary(summary: dict, to_stderr: bool) -> None:
-    stream = sys.stderr if to_stderr else sys.stdout
-    json.dump(summary, stream, sort_keys=True)
-    stream.write("\n")
+def _json(document) -> list:
+    """A JSON payload: one block, sorted-key and indented."""
+    return [(json.dumps(document, sort_keys=True, indent=2) + "\n").encode("ascii")]
+
+
+def _column_rows(*columns) -> Iterator[bytes]:
+    """CSV lines of equal-length columns, in blocks of at most `_BLOCK_LINES`."""
+    for i in range(0, len(columns[0]), _BLOCK_LINES):
+        yield _lines(*(_cells(column[i:i + _BLOCK_LINES]) for column in columns))
 
 
 def _parse_input(spec: str, n: int, rng: np.random.Generator | None) -> StateVector:
@@ -216,7 +217,7 @@ def _parse_input(spec: str, n: int, rng: np.random.Generator | None) -> StateVec
     return StateVector(amps, n)  # run checks the norm and normalizes
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> tuple:
     params = CloneParams(p=args.p, n=args.n)
     pt._check_budget(args.n)  # before the input's 2^n amplitudes
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
@@ -227,10 +228,7 @@ def cmd_run(args) -> int:
         if args.seed is None:
             raise ValueError("sampled mode requires an explicit --seed")
         transcript = pt.run(psi, params, seed=args.seed + 1)
-    with _open_output(args.output) as handle:
-        json.dump(transcript.to_json_dict(), handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    return 0
+    return 0, _json(transcript.to_json_dict()), None
 
 
 _DELTA_HEADER = ["mu", "p", "f_b", "f_c", "c_b", "c_c", "delta"]
@@ -244,19 +242,23 @@ def _joined(*fields) -> np.ndarray:
 
 
 def _delta_rows(mu_values, p_values, f_b, f_c, c_b, c_c, values) -> Iterator[bytes]:
-    """sweep-delta CSV rows, mu-major, yielded in blocks of lines; c_b,
-    c_c and values are (mu, p) grids.
+    """sweep-delta CSV rows, mu-major, yielded in blocks of at most
+    `_BLOCK_LINES` lines; c_b, c_c and values are (mu, p) grids.
 
     mu and the (p, f_b, f_c) cells, the same for every mu, are formatted
-    and joined once; the grids are formatted and joined one block of mu
-    rows at a time, as `_write_csv` asks for it, so one block's cells and
-    lines are held at once.
+    and joined once; the grids are formatted and joined one block at a
+    time, as it is asked for: whole mu rows, or one row cut into blocks
+    where it is longer than one, so one block's cells and lines are held
+    at once.
     """
     mu_cells = _joined(_cells(mu_values))[:, None]
     shared = _joined(*(_cells(column) for column in (p_values, f_b, f_c)))
-    step = max(1, _BLOCK_LINES // p_values.size)
-    for i in range(0, mu_values.size, step):
-        yield _lines(mu_cells[i:i + step], shared, *(_cells(g[i:i + step]) for g in (c_b, c_c, values)))
+    rows = max(1, _BLOCK_LINES // p_values.size)
+    cols = min(p_values.size, _BLOCK_LINES)
+    for i in range(0, mu_values.size, rows):
+        for j in range(0, p_values.size, cols):
+            grids = (_cells(g[i:i + rows, j:j + cols]) for g in (c_b, c_c, values))
+            yield _lines(mu_cells[i:i + rows], shared[j:j + cols], *grids)
 
 
 def _region_info(mu_value: float) -> dict:
@@ -270,7 +272,7 @@ def _region_info(mu_value: float) -> dict:
     }
 
 
-def cmd_sweep_delta(args) -> int:
+def cmd_sweep_delta(args) -> tuple:
     if args.mu is None and args.p is not None:
         raise ValueError("--p evaluates a single point and needs --mu")
     # both steps are checked in every form, even where --mu or --p leaves them unused
@@ -302,17 +304,13 @@ def cmd_sweep_delta(args) -> int:
                 "violations": int(np.sum(values < -ent.SweepGrid.tolerance)),
             }
         summary.update(_region_info(args.mu))
-    _write_csv(args.output, _DELTA_HEADER, blocks)
-    _emit_summary(summary, args.output is None)
-    return 0
+    return 0, _csv(_DELTA_HEADER, blocks), summary
 
 
-def cmd_sweep_fidelity(args) -> int:
+def cmd_sweep_fidelity(args) -> tuple:
     params_check = CloneParams(p=0.0, n=args.n)  # validates n
     ps = ent.SweepGrid(p_step=args.p_step).p_values()
     f_b, f_c = fidelity_curve(ps, params_check.d)
-    body = _lines(*(_cells(column) for column in (ps, 1.0 - ps, f_b, f_c)))
-    _write_csv(args.output, ["p", "q", "f_b", "f_c"], [body])
     summary = {
         "rows": int(ps.size),
         "d": params_check.d,
@@ -321,11 +319,10 @@ def cmd_sweep_fidelity(args) -> int:
         "f_b_nondecreasing": bool(np.all(np.diff(f_b) >= -1e-15)),
         "f_c_nonincreasing": bool(np.all(np.diff(f_c) <= 1e-15)),
     }
-    _emit_summary(summary, args.output is None)
-    return 0
+    return 0, _csv(["p", "q", "f_b", "f_c"], _column_rows(ps, 1.0 - ps, f_b, f_c)), summary
 
 
-def cmd_mixed(args) -> int:
+def cmd_mixed(args) -> tuple:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     # every plan's purified 2n-qubit protocol; the cross-check below runs it,
@@ -367,26 +364,21 @@ def cmd_mixed(args) -> int:
         "f_pure",
         "ok",
     ]
-    _write_csv(args.output, header, [_lines(*_cells(np.array(rows, dtype=float).T))])
     summary = {
         "rows": len(rows),
         "violations": violations,
         "simulated_instances": check_count,
         "max_sim_formula_error": sim_err,
     }
-    _emit_summary(summary, args.output is None)
-    return 0
+    return 0, _csv(header, [_lines(*_cells(np.array(rows, dtype=float).T))]), summary
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     groups = args.group.split(",") if args.group else None
     results = verify.run_verification(groups, seed=args.seed)
     passed = all(r.passed for r in results)
     report = {"passed": passed, "groups": [r.to_json_dict() for r in results]}
-    with _open_output(args.output) as handle:
-        json.dump(report, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    return 0 if passed else 1
+    return 0 if passed else 1, _json(report), None
 
 
 #: an unsigned number float() reads: 1e-13, .5, 1_000, inf, nan
@@ -484,7 +476,14 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-        return args.func(args)
+        code, payload, summary = args.func(args)
+        with _open_output(args.output) as handle:
+            for block in payload:
+                handle.write(block)
+        if summary is not None:  # beside the payload, never on its stream
+            stream = sys.stderr if args.output in (None, "-") else sys.stdout
+            print(json.dumps(summary, sort_keys=True), file=stream)
+        return code
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

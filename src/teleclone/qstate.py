@@ -87,13 +87,8 @@ class StateVector:
     @classmethod
     def from_amplitudes(cls, amplitudes, normalize: bool = False) -> "StateVector":
         amps = np.asarray(amplitudes, dtype=complex)
-        m = _num_qubits_for(amps.size)
-        if normalize:
-            norm = np.linalg.norm(amps)
-            if norm < 1e-12:
-                raise ValueError("cannot normalize a zero vector")
-            amps = amps / norm
-        return cls(amps, m)
+        state = cls(amps, _num_qubits_for(amps.size))
+        return state.normalized() if normalize else state
 
     @classmethod
     def basis(cls, index: int, num_qubits: int) -> "StateVector":
@@ -117,7 +112,12 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "StateVector":
-        return StateVector(self.amplitudes / self.norm, self.num_qubits)
+        """This state over its norm; a norm below 1e-12 or not finite is refused."""
+        with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
+            norm = self.norm
+        if not 1e-12 <= norm < math.inf:  # NaN fails it too
+            raise ValueError(f"cannot normalize a state of norm {norm}")
+        return StateVector(self.amplitudes / norm, self.num_qubits)
 
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""

@@ -355,6 +355,15 @@ class TestSweepFidelity:
         mid = next(r for r in rows if r["p"] == "0.5")
         assert float(mid["f_b"]) == pytest.approx(0.7, abs=1e-9)
 
+    def test_dash_output_is_the_csv_alone_with_the_summary_on_stderr(self, tmp_path):
+        # "-" is stdout: the summary goes beside the payload, not after it
+        argv = ["sweep-fidelity", "--p-step", "0.5"]
+        code, stdout, stderr = call_main(argv + ["--output", "-"])
+        rows = [[p, 1.0 - p, *fidelity_curve(p, 4)] for p in (0.0, 0.5, 1.0)]
+        assert (code, stdout) == (0, oracle_csv(["p", "q", "f_b", "f_c"], rows))
+        assert stderr == call_main(argv + ["--output", str(tmp_path / "fid.csv")])[1]
+        assert json.loads(stderr)["rows"] == 3
+
     def test_dimension_beyond_a_float_exit_2(self, tmp_path, capsys):
         # d = 2^1024 cannot be converted to a float; 2^1023 still can
         out = tmp_path / "fid.csv"
@@ -624,6 +633,40 @@ class TestCsvByteIdentity:
         assert out.read_bytes().count(b"\n") == 51 * 2001 + 1
         assert captured.err == summary
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--input", "random", "--seed", "3"],
+            ["verify"],
+            ["sweep-fidelity"],
+            ["mixed", "--seed", "7", "--samples", "5"],
+            ["sweep-delta", "--mu", "0.3"],
+        ],
+    )
+    def test_every_command_writes_the_same_payload_to_stdout_and_a_file(self, tmp_path, argv):
+        out = tmp_path / "payload"
+        code, summary, stderr = call_main(argv + ["--output", str(out)])
+        assert (code, stderr) == (0, "")
+        assert bool(summary) == (argv[0] not in ("run", "verify"))  # they have none
+        code, stdout, stderr = call_main(argv)
+        assert code == 0
+        assert stdout.encode("ascii") == out.read_bytes()
+        assert stderr == summary
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-fidelity"],
+            ["sweep-delta", "--mu", "0.3", "--p-step", "0.01"],
+            ["sweep-delta", "--mu-step", "0.1", "--p-step", "0.01"],
+        ],
+    )
+    def test_rows_cut_into_blocks_join_to_the_same_payload(self, monkeypatch, argv):
+        # 101 points a row: fourteen blocks of 7 lines and one of 3 per row
+        whole = call_main(argv)
+        monkeypatch.setattr(cli, "_BLOCK_LINES", 7)
+        assert call_main(argv) == whole
+
     @pytest.mark.parametrize("to_file", [True, False])
     def test_failure_in_a_later_block_writes_nothing(self, tmp_path, monkeypatch, to_file):
         # _cells formats mu, the three shared columns, then the three grids
@@ -670,7 +713,19 @@ class TestCsvByteIdentity:
         # the report's three grids (2.3 MiB), one block of grid rows or
         # scans, and one block of lines fit; the whole body (7.5 MB), or
         # the gap of every grid point or every scan at once, does not
-        assert sweep_delta_peak(tmp_path, 0.001) <= 6 * 2**20
+        assert output_peak(tmp_path, "sweep-delta", "--p-step", "0.001") <= 6 * 2**20
+
+    def test_long_fidelity_axis_holds_one_block_at_a_time(self, tmp_path):
+        # 100,001 points: the four columns (3.2 MB) and one block of lines
+        # fit; the whole body (4.6 MB), or every point's cells at once, does not
+        assert output_peak(tmp_path, "sweep-fidelity", "--p-step", "1e-5") <= 6 * 2**20
+
+    def test_long_mu_row_holds_one_block_of_grid_cells_at_a_time(self, tmp_path):
+        # 100,001 points of one mu: the gap over the whole axis (7.6 MiB
+        # traced) and the (p, f_b, f_c) cells joined once fit; the grid
+        # cells of every point and the whole body (7.7 MB) on top do not
+        argv = ("sweep-delta", "--mu", "0.3", "--p-step", "1e-5")
+        assert output_peak(tmp_path, *argv) <= 32 * 2**20
 
     def test_finer_p_grid_grows_the_peak_by_the_report_alone(self, tmp_path):
         # halving the p-step doubles the report's p columns and (mu, p)
@@ -681,7 +736,8 @@ class TestCsvByteIdentity:
         coarse, fine = (ent.sweep_delta(ent.SweepGrid(p_step=step)) for step in (0.001, 0.0005))
         arrays = ("p_values", "fidelity_b", "fidelity_c", "concurrence_b", "concurrence_c", "delta_values")
         grown = sum(getattr(fine, name).nbytes - getattr(coarse, name).nbytes for name in arrays)
-        growth = sweep_delta_peak(tmp_path, 0.0005) - sweep_delta_peak(tmp_path, 0.001)
+        peaks = [output_peak(tmp_path, "sweep-delta", "--p-step", step) for step in ("0.0005", "0.001")]
+        growth = peaks[0] - peaks[1]
         assert growth <= grown + 2**18
 
     @pytest.mark.parametrize(
@@ -724,9 +780,9 @@ def fail_in_the_third_block(monkeypatch) -> list:
     return calls
 
 
-def sweep_delta_peak(tmp_path, p_step) -> int:
-    """Traced peak bytes of `sweep-delta --p-step P --output F`, after a warm-up."""
-    argv = ["sweep-delta", "--p-step", str(p_step), "--output", str(tmp_path / "grid.csv")]
+def output_peak(tmp_path, *argv) -> int:
+    """Traced peak bytes of `teleclone ARGV --output F`, after a warm-up."""
+    argv = [*argv, "--output", str(tmp_path / "payload.csv")]
     assert call_main(argv)[0] == 0
     tracemalloc.start()
     try:

@@ -461,6 +461,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             DensityMatrix(mat, 1)
 
+    @pytest.mark.parametrize("amplitudes", [[1e308, 1e308], [np.nan, 1.0]])
+    def test_normalize_refuses_a_norm_that_is_not_finite(self, amplitudes):
+        # dividing by an overflowed norm gave [0, 0], by a NaN one NaNs
+        with pytest.raises(ValueError, match=r"cannot normalize a state of norm (inf|nan)$"):
+            StateVector.from_amplitudes(amplitudes, normalize=True)
+
     def test_amplitudes_frozen(self):
         state = bell_state()
         with pytest.raises(ValueError):
