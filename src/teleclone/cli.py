@@ -29,6 +29,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 import traceback
 from collections.abc import Iterable, Iterator
@@ -49,12 +50,13 @@ def _open_output(path: str | None):
 
     The one place that knows the target.  A regular file (new, or reached
     through a symlink, which stays one) is written to a new file beside
-    it and moved onto it once the payload is written and closed.  Stdout
-    (None or "-") and any other target, such as a device or a pipe, which
-    a file must not replace, get an in-memory buffer that is written out
-    once the payload is whole.  If anything fails first, the temporary is
-    removed and the target is left as it was: no partial file, nothing on
-    stdout and nothing on a pipe.
+    it and moved onto it once the payload is written and closed; an
+    existing file keeps its permission bits, while its other hard links
+    keep the old contents.  Stdout (None or "-") and any other target,
+    such as a device or a pipe, which a file must not replace, get an
+    in-memory buffer that is written out once the payload is whole.  If
+    anything fails first, the temporary is removed and the target is left
+    as it was: no partial file, nothing on stdout and nothing on a pipe.
     """
     if path in (None, "-") or (os.path.exists(path) and not os.path.isfile(path)):
         buffer = io.BytesIO()
@@ -74,6 +76,8 @@ def _open_output(path: str | None):
     try:
         with handle:
             yield handle
+        with contextlib.suppress(FileNotFoundError):  # a new file keeps the umask's mode
+            shutil.copymode(target, tmp)
         os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)

@@ -57,6 +57,7 @@ def cloner_basis_state(j: int, params: CloneParams) -> StateVector:
     The d outputs are mutually orthonormal for every p: their
     computational-basis supports are pairwise disjoint.
     """
+    _check_register_size(3 * params.n)
     d = params.d
     if not 0 <= j < d:
         raise ValueError(f"basis index {j} out of range for d={d}")

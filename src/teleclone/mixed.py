@@ -15,7 +15,13 @@ import numpy as np
 
 from .cloning import CloneParams
 from .protocol import BellOutcome, run
-from .qstate import DensityMatrix, StateVector, reduced_density, uhlmann_fidelity
+from .qstate import (
+    DensityMatrix,
+    StateVector,
+    _check_register_size,
+    reduced_density,
+    uhlmann_fidelity,
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,7 @@ def purify(mixed: MixedInput) -> StateVector:
 
     Tracing out the second half recovers the diagonal mixed state exactly.
     """
+    _check_register_size(2 * mixed.n)
     dim = mixed.dimension
     amps = np.zeros(dim * dim, dtype=complex)
     amps[np.arange(dim) * (dim + 1)] = np.sqrt(mixed.alphas)  # |k>|k>

@@ -197,19 +197,19 @@ def correction_plan(outcome: BellOutcome) -> tuple:
     return tuple(plan)
 
 
-def _fold(plan, num_qubits: int, offset: int = 0) -> tuple[int, int, int]:
+def _fold(plan, num_qubits: int) -> tuple[int, int, int]:
     """Fold a correction plan, in order, into its Pauli frame (xmask, zmask, sign).
 
     The product of the plan's operators equals sign * prod_q Z_q^z[q] X_q^x[q]
     (X applied first), with bit q of a mask at 1 << (num_qubits - 1 - q).  An
     X on a qubit that already carries a Z anticommutes past it, so the sign
-    flips then (Z X = -X Z).  `offset` shifts targets past spectator qubits.
+    flips then (Z X = -X Z).
     """
     xmask, zmask, sign = 0, 0, 1
     for correction in plan:
         if correction.op not in ("x", "z"):
             raise ValueError(f"unknown correction op {correction.op!r}")
-        for q in (offset + position for position in correction.targets):
+        for q in correction.targets:
             _check_position(q, num_qubits)
             bit = 1 << (num_qubits - 1 - q)
             if correction.op == "x":
@@ -309,9 +309,9 @@ def _final(rows: np.ndarray, params: CloneParams, folds) -> tuple:
 
     Term t of machine output j[t] (_machine_support) holds rows[r, (ref, j[t])]
     times its weight over sqrt(d), as build_channel rounds it.  Row r's fold
-    (_fold; its masks clear of the reference) moves it to pos = index ^ xmask
-    with the sign sign * (-1)^popcount(pos & zmask); the row is then
-    normalized (its squared norm is 2^n times the probability).
+    (_fold on the 3n qubits (B, C, anc), whatever the reference) moves it to
+    pos = index ^ xmask with the sign sign * (-1)^popcount(pos & zmask); the
+    row is then normalized (its squared norm is 2^n times the probability).
     """
     d = params.d
     index, j = _machine_support(d)
@@ -471,6 +471,6 @@ def entanglement_cost_check(
     if outcome is None:
         outcome = BellOutcome.all_phi_plus(n)
     rows, _, _ = _sender_walk(psi, n, **_walk_mode(n, outcome, None))
-    m = n_ref + 3 * n  # (ref, B, C, anc); the plan acts past the reference
-    _, (pos,), (vals,) = _final(rows, params, [_fold(correction_plan(outcome), m, n_ref)])
+    m = n_ref + 3 * n  # (ref, B, C, anc); the plan's frame acts on (B, C, anc) alone
+    _, (pos,), (vals,) = _final(rows, params, [_fold(correction_plan(outcome), 3 * n)])
     return entanglement_entropy(_dense(pos, vals, m), range(n_ref))

@@ -93,6 +93,7 @@ class StateVector:
     @classmethod
     def basis(cls, index: int, num_qubits: int) -> "StateVector":
         """Computational basis state |index> on the given register size."""
+        _check_register_size(num_qubits)
         dim = 1 << num_qubits
         if not 0 <= index < dim:
             raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
@@ -103,6 +104,7 @@ class StateVector:
     @classmethod
     def random(cls, num_qubits: int, rng: np.random.Generator) -> "StateVector":
         """Normalized state with i.i.d. complex-Gaussian amplitudes."""
+        _check_register_size(num_qubits)
         dim = 1 << num_qubits
         amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return cls(amps / np.linalg.norm(amps), num_qubits)

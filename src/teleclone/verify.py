@@ -264,33 +264,24 @@ def _group_channel(seed: int) -> GroupResult:
     return GroupResult("channel", tuple(checks))
 
 
-def protocol_deviations(psi, params: CloneParams, outcomes, fidelities) -> tuple[float, float]:
-    """The listed forced outcomes of one input, telecloned with `params`.
+def protocol_deviations(
+    psi, params: CloneParams, fidelities, probability: float
+) -> tuple[float, float, float]:
+    """Every forced outcome of one input, telecloned with `params`, from one batch.
 
-    All 4^n outcomes are evaluated in one batch (protocol.evaluate_outcomes);
-    `outcomes` selects the rows that count, in any order.  Returns the worst
-    1 - overlap with the target state and the worst |F - expected| of the
-    two clones against `fidelities` = (F_B, F_C).
+    protocol.evaluate_outcomes gives all 4^n outcomes at once.  Returns the
+    worst 1 - overlap with the target state, the worst |F - expected| of the
+    two clones against `fidelities` = (F_B, F_C) and the worst
+    |P(outcome) - probability|: each counted from 0, with a NaN winning, as
+    in _worst, and all three inf unless the batch has 4^n rows.
     """
-    outcomes = list(outcomes)
-    n = params.n
-    if any(outcome.num_pairs != n for outcome in outcomes):
-        raise ValueError(f"every outcome must list {n} Bell elements")
-    rows = [outcome.index() for outcome in outcomes]
-    _, overlap, fidelity_b, fidelity_c = pt.evaluate_outcomes(psi, params)
-    expected_b, expected_c = fidelities
-    overlaps = 1.0 - overlap[rows]
-    fids = np.abs(np.concatenate([fidelity_b[rows] - expected_b, fidelity_c[rows] - expected_c]))
-    # counted from 0, and a NaN wins, as in _worst
-    return float(overlaps.max(initial=0.0)), float(fids.max(initial=0.0))
-
-
-def outcome_probability_deviation(psi, params: CloneParams, expected: float) -> float:
-    """Worst |P(outcome) - expected| over the 4^n outcomes; inf unless 4^n come back."""
-    probs, _, _, _ = pt.evaluate_outcomes(psi, params)
+    probs, overlap, fidelity_b, fidelity_c = pt.evaluate_outcomes(psi, params)
     if len(probs) != 4**params.n:
-        return float("inf")
-    return _largest(np.abs(probs - expected))
+        return (math.inf,) * 3
+    expected_b, expected_c = fidelities
+    fids = np.concatenate([fidelity_b - expected_b, fidelity_c - expected_c])
+    deviations = (1.0 - overlap, np.abs(fids), np.abs(probs - probability))
+    return tuple(float(d.max(initial=0.0)) for d in deviations)
 
 
 def sampled_frequency_check(psi, params: CloneParams, samples: int, seed: int) -> CheckResult:
@@ -349,12 +340,8 @@ def _group_protocol(seed: int) -> GroupResult:
         params = CloneParams(p=0.35, n=n)
         for _ in range(inputs):
             psi = qs.StateVector.random(n, rng)
-            outcomes = pt.BellOutcome.all_outcomes(n)
-            runs.append(protocol_deviations(psi, params, outcomes, clone_fidelities(params)))
-    probs = []
-    for n in (2, 3):
-        psi = qs.StateVector.random(n, rng)
-        probs.append(outcome_probability_deviation(psi, CloneParams(p=0.5, n=n), 0.25**n))
+            runs.append(protocol_deviations(psi, params, clone_fidelities(params), 0.25**n))
+    overlaps, fidelities, probabilities = zip(*runs)
     params, phi = CloneParams(p=0.25, n=2), pt.BellOutcome.all_phi_plus(2)
     fids = [pt.run(qs.StateVector.random(2, rng), params, outcome=phi).fidelity_b
             for _ in range(20)]
@@ -366,9 +353,9 @@ def _group_protocol(seed: int) -> GroupResult:
     costs = [cost_deviation(CloneParams(p=p, n=2), 2.0) for p in (0.2, 0.5)]
     costs.append(cost_deviation(CloneParams(p=0.5, n=2), 0.0, input_state=product))
     return GroupResult("protocol", (
-        _worst("all-outcomes-reach-target n=2,3", [o for o, _ in runs], EXACT_TOL),
-        _worst("fidelities-match-formula", [f for _, f in runs], EXACT_TOL),
-        _worst("uniform-outcome-probabilities", probs, EXACT_TOL),
+        _worst("all-outcomes-reach-target n=2,3", overlaps, EXACT_TOL),
+        _worst("fidelities-match-formula", fidelities, EXACT_TOL),
+        _worst("uniform-outcome-probabilities", probabilities, EXACT_TOL),
         _check("universality-input-independence", float(np.std(fids)), EXACT_TOL),
         CheckResult("locc-discipline", locc, "one target per receiver register; 2n bits"),
         _check("measurement-order-invariance", order, EXACT_TOL),
@@ -380,7 +367,7 @@ def _group_outcomes(seed: int) -> GroupResult:
     rng = np.random.default_rng(seed)
     params = CloneParams(p=0.5, n=2)
     psi = qs.StateVector.random(2, rng)
-    dev = outcome_probability_deviation(psi, params, 1 / 16)
+    _, _, dev = protocol_deviations(psi, params, clone_fidelities(params), 1 / 16)
     return GroupResult("outcomes", (
         _check("exact-uniform-1/16", dev, EXACT_TOL),
         sampled_frequency_check(psi, params, 20000, seed),

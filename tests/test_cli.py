@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -329,6 +330,16 @@ class TestSweepDelta:
         reference.write_text("")
         assert call_main(["sweep-delta", "--mu", "0.25", "--output", str(out)])[0] == 0
         assert out.stat().st_mode == reference.stat().st_mode
+
+    @pytest.mark.parametrize("mode", [0o600, 0o444], ids=oct)
+    def test_output_file_keeps_the_mode_it_had(self, tmp_path, mode):
+        # the temporary moved onto the file must not widen a private one
+        out = tmp_path / "delta.csv"
+        out.write_text("old\n")
+        out.chmod(mode)
+        assert call_main(["sweep-delta", "--mu", "0.25", "--output", str(out)])[0] == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert out.read_text().startswith("mu,p,")
 
     def test_default_grid_has_no_violations(self, tmp_path, capsys):
         out = tmp_path / "full.csv"

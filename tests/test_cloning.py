@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,18 @@ class TestClonerBasisState:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             cloner_basis_state(4, CloneParams(p=0.5, n=2))
+
+    def test_oversize_register_refused_before_allocation(self):
+        # 3n = 21 qubits would be 32 MiB of amplitudes
+        params = CloneParams(p=0.5, n=7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="register size 21 is outside the 20-qubit limit"):
+                cloner_basis_state(0, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCloneParams:

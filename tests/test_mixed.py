@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,18 @@ class TestPurify:
         np.testing.assert_allclose(reduced.entries, np.diag(mixed.alphas), atol=1e-12)
         primed = qstate.reduced_density(mx.purify(mixed), [2, 3])
         np.testing.assert_allclose(primed.entries, np.diag(mixed.alphas), atol=1e-12)
+
+    def test_oversize_register_refused_before_allocation(self):
+        # 2n = 22 qubits would be 64 MiB of amplitudes
+        mixed = MixedInput(np.full(2048, 1 / 2048), 11)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="register size 22 is outside the 20-qubit limit"):
+                mx.purify(mixed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestTelecloneMixed:

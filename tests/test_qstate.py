@@ -426,6 +426,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             StateVector(np.zeros(2**21, dtype=complex), 21)
 
+    def test_random_refuses_an_oversize_register_before_drawing(self):
+        class NoDraws:
+            def standard_normal(self, size):
+                raise AssertionError("drew before the register size was refused")
+
+        with pytest.raises(ValueError, match="register size 21 is outside the 20-qubit limit"):
+            StateVector.random(21, NoDraws())
+
+    @pytest.mark.parametrize("num_qubits", [22, -1])
+    def test_basis_refuses_a_register_size_before_allocating(self, num_qubits):
+        # 22 qubits would be 64 MiB of zeros; -1 a negative shift count
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"register size {num_qubits} is outside"):
+                StateVector.basis(0, num_qubits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_tensor_rejects_oversize_product(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match="20-qubit limit"):

@@ -100,12 +100,14 @@ def test_nan_deviation_is_never_skipped():
     # the builtin max(0.0, nan) returns 0.0; a NaN must fail the check instead
     params = CloneParams(p=0.5, n=2)
     psi = StateVector.basis(1, 2)
-    outcomes = [BellOutcome.parse("PHI+,PSI-"), BellOutcome.parse("PSI+,PHI-")]
-    overlap_dev, fidelity_dev = verify.protocol_deviations(
-        psi, params, outcomes, (float("nan"), 0.7)
-    )
-    assert overlap_dev <= verify.EXACT_TOL
-    assert not fidelity_dev <= verify.EXACT_TOL
+    nan = float("nan")
+
+    def within(fidelities, probability):
+        deviations = verify.protocol_deviations(psi, params, fidelities, probability)
+        return [d <= verify.EXACT_TOL for d in deviations]
+
+    assert within((nan, 0.7), 1 / 16) == [True, False, True]
+    assert within((0.7, 0.7), nan) == [True, True, False]
 
 
 def test_nan_instance_fails_its_group_check(monkeypatch):
@@ -126,60 +128,70 @@ def test_nan_instance_fails_its_group_check(monkeypatch):
 
 @pytest.mark.parametrize("change", ["drop", "extra"])
 def test_outcome_count_must_be_4_to_the_n(monkeypatch, change):
-    # a missing or an extra row fails, even when every row reads 1/16
+    # a missing or an extra row fails every claim, even when every row is right
     rows = 15 if change == "drop" else 17
     monkeypatch.setattr(
-        "teleclone.protocol.evaluate_outcomes", lambda psi, params: (np.full(rows, 1 / 16),) * 4
+        "teleclone.protocol.evaluate_outcomes",
+        lambda psi, params: (np.full(rows, 1 / 16), np.ones(rows), *np.full((2, rows), 0.7)),
     )
-    psi = StateVector.basis(0, 2)
-    params = CloneParams(p=0.5, n=2)
-    assert not verify.outcome_probability_deviation(psi, params, 1 / 16) <= verify.EXACT_TOL
+    deviations = verify.protocol_deviations(
+        StateVector.basis(0, 2), CloneParams(p=0.5, n=2), (0.7, 0.7), 1 / 16
+    )
+    assert deviations == (np.inf,) * 3
 
 
-def per_outcome_deviations(psi, params, outcomes, fidelities):
-    """The route protocol_deviations replaced: one run per listed outcome."""
-    overlaps, fids = [0.0], [0.0]
-    for outcome in outcomes:
+def test_one_probability_row_fails_only_the_probability_claim(monkeypatch):
+    probs = np.full(16, 1 / 16)
+    probs[11] += 1e-6
+    monkeypatch.setattr(
+        pt, "evaluate_outcomes", lambda psi, params: (probs, np.ones(16), *np.full((2, 16), 0.7))
+    )
+    deviations = verify.protocol_deviations(
+        StateVector.basis(0, 2), CloneParams(p=0.5, n=2), (0.7, 0.7), 1 / 16
+    )
+    assert deviations[:2] == (0.0, 0.0)
+    assert deviations[2] == pytest.approx(1e-6, rel=1e-9)
+
+
+def test_one_batch_per_protocol_input(monkeypatch):
+    calls, real = [], pt.evaluate_outcomes
+
+    def counted(psi, params):
+        calls.append(params)
+        return real(psi, params)
+
+    monkeypatch.setattr(pt, "evaluate_outcomes", counted)
+    params = CloneParams(p=0.35, n=3)
+    verify.protocol_deviations(StateVector.basis(5, 3), params, clone_fidelities(params), 1 / 64)
+    assert calls == [params]
+    for group, batches in (("protocol", 7), ("outcomes", 1)):
+        calls.clear()
+        (result,) = verify.run_verification([group])
+        assert result.passed
+        assert len(calls) == batches, group
+
+
+def per_outcome_deviations(psi, params, fidelities, probability):
+    """The route protocol_deviations replaced: one run per outcome."""
+    overlaps, fids, probs = [0.0], [0.0], [0.0]
+    for outcome in BellOutcome.all_outcomes(params.n):
         tr = pt.run(psi, params, outcome=outcome)
         overlaps.append(1.0 - tr.target_overlap)
         fids += [abs(tr.fidelity_b - fidelities[0]), abs(tr.fidelity_c - fidelities[1])]
-    return max(overlaps), max(fids)
+        probs.append(abs(tr.probability - probability))
+    return max(overlaps), max(fids), max(probs)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("select", ["all", "subset", "reversed"])
-def test_protocol_deviations_equal_the_per_outcome_route(n, select):
+@pytest.mark.parametrize("n", [2, 3], ids=["all-2", "all-3"])  # every outcome at n
+def test_protocol_deviations_equal_the_per_outcome_route(n):
     params = CloneParams(p=0.35, n=n)
-    outcomes = list(BellOutcome.all_outcomes(n))
-    outcomes = {"all": outcomes, "subset": outcomes[3::5], "reversed": outcomes[::-1]}[select]
     psi = StateVector.random(n, np.random.default_rng(90 + n))
-    # expected fidelities off by 1e-6, so the fidelity deviations are not rounding noise
+    # expected values off by 1e-6, so the deviations are not rounding noise
     expected = tuple(f + 1e-6 for f in clone_fidelities(params))
-    batch = verify.protocol_deviations(psi, params, outcomes, expected)
-    oracle = per_outcome_deviations(psi, params, outcomes, expected)
+    probability = 0.25**n + 1e-6
+    batch = verify.protocol_deviations(psi, params, expected, probability)
+    oracle = per_outcome_deviations(psi, params, expected, probability)
     np.testing.assert_allclose(batch, oracle, rtol=0, atol=1e-12)
-
-
-def test_protocol_deviations_select_their_rows(monkeypatch):
-    # row k of a stand-in batch deviates by k: only the listed rows may count
-    ks = np.arange(16.0)
-    monkeypatch.setattr(pt, "evaluate_outcomes", lambda psi, params: (ks, 1.0 - ks, ks, -ks))
-    params = CloneParams(p=0.5, n=2)
-    outcomes = list(BellOutcome.all_outcomes(2))
-    psi = StateVector.basis(0, 2)
-    assert verify.protocol_deviations(psi, params, [outcomes[5], outcomes[2]], (0.0, 0.0)) == (
-        5.0, 5.0,
-    )
-    assert verify.protocol_deviations(psi, params, outcomes[9:11], (0.0, 0.0)) == (10.0, 10.0)
-    assert verify.protocol_deviations(psi, params, [], (0.0, 0.0)) == (0.0, 0.0)
-
-
-def test_protocol_deviations_reject_a_wrong_length_outcome():
-    with pytest.raises(ValueError, match="2 Bell elements"):
-        verify.protocol_deviations(
-            StateVector.basis(0, 2), CloneParams(p=0.5, n=2), [BellOutcome.parse("PHI+")],
-            (0.7, 0.7),
-        )
 
 
 def run_verify_mixed():
