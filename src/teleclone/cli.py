@@ -9,7 +9,10 @@ significant digits), never quoted, with LF line endings, so that
 identical configs produce byte-identical files; JSON output is
 sorted-key.  One vectorized cell kernel, `_cells`, writes the '%.12g'
 bytes of every CSV command (the `ok` flag of `mixed` is the cell of
-0.0 or 1.0), and `_lines` joins cells into lines.  Commands compute,
+0.0 or 1.0), `_lines` joins cells into lines, and one body writer,
+`_body`, makes every CSV body from value fields that broadcast to one
+grid: a field smaller than the grid is formatted once, every full-size
+field one block of lines at a time.  Commands compute,
 `main` writes: a command returns its exit code, its payload (ASCII
 bytes in blocks: a CSV header line, then blocks of at most
 `_BLOCK_LINES` lines formatted as they are asked for, or one JSON
@@ -33,6 +36,7 @@ import shutil
 import sys
 import traceback
 from collections.abc import Iterable, Iterator
+from itertools import groupby
 
 import numpy as np
 
@@ -190,10 +194,32 @@ def _json(document) -> list:
     return [(json.dumps(document, sort_keys=True, indent=2) + "\n").encode("ascii")]
 
 
-def _column_rows(*columns) -> Iterator[bytes]:
-    """CSV lines of equal-length columns, in blocks of at most `_BLOCK_LINES`."""
-    for i in range(0, len(columns[0]), _BLOCK_LINES):
-        yield _lines(*(_cells(column[i:i + _BLOCK_LINES]) for column in columns))
+def _body(*fields) -> Iterator[bytes]:
+    """CSV lines of value fields that broadcast to one (M, P) grid (a 1-D
+    field is one row of it), in C order and in blocks of at most
+    `_BLOCK_LINES` lines: whole rows, or one row cut into several.
+
+    A field smaller than the grid (a mu column, the p axis every mu
+    shares, a scalar) is formatted once, and each run of such fields of
+    one shape is joined into lines once; every full-size field is
+    formatted one block at a time, as the block is asked for.
+    """
+    grid = np.broadcast_shapes((1, 1), *map(np.shape, fields))
+    size = math.prod(grid)
+    parts = []  # (M, P) value views, or (M, P, W) views of joined cells
+    for (small, shape), run in groupby(fields, lambda f: (np.size(f) < size, np.shape(f))):
+        if small:
+            lines = np.array(_lines(*map(_cells, run)).split(b"\n")[:-1])
+            cells = lines.view(np.uint8).reshape(*shape, lines.itemsize)
+            parts.append(np.broadcast_to(cells, grid + (lines.itemsize,)))
+        else:
+            parts.extend(np.broadcast_to(f, grid) for f in run)
+    rows = max(1, _BLOCK_LINES // grid[1])
+    cols = min(grid[1], _BLOCK_LINES)
+    for i in range(0, grid[0], rows):
+        for j in range(0, grid[1], cols):
+            blocks = (part[i:i + rows, j:j + cols] for part in parts)
+            yield _lines(*(b if b.ndim == 3 else _cells(b) for b in blocks))
 
 
 def _parse_input(spec: str, n: int, rng: np.random.Generator | None) -> StateVector:
@@ -238,33 +264,6 @@ def cmd_run(args) -> tuple:
 _DELTA_HEADER = ["mu", "p", "f_b", "f_c", "c_b", "c_c", "delta"]
 
 
-def _joined(*fields) -> np.ndarray:
-    """The lines of `_lines(*fields)` as (N, W) NUL-padded cells, without
-    newlines and W the longest line's length."""
-    lines = _lines(*fields).split(b"\n")[:-1]
-    return np.array(lines).view(np.uint8).reshape(len(lines), -1)
-
-
-def _delta_rows(mu_values, p_values, f_b, f_c, c_b, c_c, values) -> Iterator[bytes]:
-    """sweep-delta CSV rows, mu-major, yielded in blocks of at most
-    `_BLOCK_LINES` lines; c_b, c_c and values are (mu, p) grids.
-
-    mu and the (p, f_b, f_c) cells, the same for every mu, are formatted
-    and joined once; the grids are formatted and joined one block at a
-    time, as it is asked for: whole mu rows, or one row cut into blocks
-    where it is longer than one, so one block's cells and lines are held
-    at once.
-    """
-    mu_cells = _joined(_cells(mu_values))[:, None]
-    shared = _joined(*(_cells(column) for column in (p_values, f_b, f_c)))
-    rows = max(1, _BLOCK_LINES // p_values.size)
-    cols = min(p_values.size, _BLOCK_LINES)
-    for i in range(0, mu_values.size, rows):
-        for j in range(0, p_values.size, cols):
-            grids = (_cells(g[i:i + rows, j:j + cols]) for g in (c_b, c_c, values))
-            yield _lines(mu_cells[i:i + rows], shared[j:j + cols], *grids)
-
-
 def _region_info(mu_value: float) -> dict:
     mu_value = min(mu_value, 0.5)  # mu's band reaches 1e-12 past 1/2
     if ent.MU_THRESHOLD < mu_value:
@@ -283,8 +282,8 @@ def cmd_sweep_delta(args) -> tuple:
     grid = ent.SweepGrid(mu_step=args.mu_step, p_step=args.p_step)
     if args.mu is None:
         report = ent.sweep_delta(grid)
-        blocks = _delta_rows(
-            report.mu_values,
+        blocks = _body(
+            report.mu_values[:, None],
             report.p_values,
             report.fidelity_b,
             report.fidelity_c,
@@ -296,9 +295,7 @@ def cmd_sweep_delta(args) -> tuple:
     else:
         ps = grid.p_values() if args.p is None else np.array([args.p])
         f_b, f_c, c_b, c_c, _, _, values = ent._gap(args.mu, ps)
-        blocks = _delta_rows(
-            np.array([args.mu]), ps, f_b, f_c, c_b[None], c_c[None], values[None]
-        )
+        blocks = _body(args.mu, ps, f_b, f_c, c_b, c_c, values)
         if args.p is not None:
             summary = {"delta": float(values[0])}
         else:
@@ -323,12 +320,14 @@ def cmd_sweep_fidelity(args) -> tuple:
         "f_b_nondecreasing": bool(np.all(np.diff(f_b) >= -1e-15)),
         "f_c_nonincreasing": bool(np.all(np.diff(f_c) <= 1e-15)),
     }
-    return 0, _csv(["p", "q", "f_b", "f_c"], _column_rows(ps, 1.0 - ps, f_b, f_c)), summary
+    return 0, _csv(["p", "q", "f_b", "f_c"], _body(ps, 1.0 - ps, f_b, f_c)), summary
 
 
 def cmd_mixed(args) -> tuple:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
+    if args.samples > 100_000:  # rows are held until written: 40-54 MiB traced here
+        raise ValueError(f"--samples must be at most 100000, got {args.samples}")
     # every plan's purified 2n-qubit protocol; the cross-check below runs it,
     # so its budget is checked first
     params = CloneParams(p=args.p, n=2 * args.n)
@@ -341,16 +340,14 @@ def cmd_mixed(args) -> tuple:
     plans.append(np.full(mixed_dim, 1.0 / mixed_dim))
     plans.extend(mx.sample_simplex(mixed_dim, args.samples, rng))
 
-    inputs = []
     rows = []  # alpha_0..alpha_{2^n-1}, p, f_mixed, lower, f_pure, ok
     for alphas in plans:
-        mixed = mx.MixedInput(np.asarray(alphas, dtype=float), args.n)
+        mixed = mx.MixedInput(alphas, args.n)
         f_mixed = mx.mixed_fidelity(mixed, params)
         # within [bound, 1], and never below the pure-state clone fidelity
         ok = verify.fidelity_in_bounds(f_mixed, lower, 1.0) and verify.fidelity_in_bounds(
             f_mixed, f_pure, math.inf
         )
-        inputs.append(mixed)
         rows.append([*mixed.alphas.tolist(), args.p, f_mixed, lower, f_pure, ok])
     violations = sum(not row[-1] for row in rows)
 
@@ -358,7 +355,7 @@ def cmd_mixed(args) -> tuple:
     check_count = 3 if args.n == 1 else 2
     sim_err = float(np.max([
         verify.mixed_fidelity_deviation(mixed, params, mx.teleclone_mixed(mixed, params)[0])
-        for mixed in inputs[:check_count]
+        for mixed in (mx.MixedInput(alphas, args.n) for alphas in plans[:check_count])
     ]))
 
     header = [f"alpha_{k}" for k in range(mixed_dim)] + [
@@ -374,7 +371,7 @@ def cmd_mixed(args) -> tuple:
         "simulated_instances": check_count,
         "max_sim_formula_error": sim_err,
     }
-    return 0, _csv(header, [_lines(*_cells(np.array(rows, dtype=float).T))]), summary
+    return 0, _csv(header, _body(*np.array(rows).T)), summary
 
 
 def cmd_verify(args) -> tuple:

@@ -452,6 +452,31 @@ class TestMixedCommand:
         assert (code, stdout, stderr) == (2, "", "error: --samples must be nonnegative, got -1\n")
         assert not out.exists()
 
+    def test_samples_above_the_limit_refused_before_drawing(self, tmp_path, monkeypatch):
+        class NoDraws:
+            def exponential(self, *args, **kwargs):
+                raise AssertionError("simplex plans drawn for a count above the limit")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        out = tmp_path / "mixed.csv"
+        code, stdout, stderr = call_main(
+            ["mixed", "--samples", "100001", "--seed", "1", "--output", str(out)]
+        )
+        assert (code, stdout, stderr) == (2, "", "error: --samples must be at most 100000, got 100001\n")
+        assert not out.exists()
+
+    def test_samples_at_the_limit_are_drawn(self, monkeypatch, capsys):
+        counts = []
+
+        def two_plans(dimension, count, rng):
+            counts.append(count)
+            return np.full((2, dimension), 1.0 / dimension)
+
+        monkeypatch.setattr(mx, "sample_simplex", two_plans)
+        assert main(["mixed", "--samples", "100000", "--seed", "1"]) == 0
+        assert counts == [100000]
+        assert json.loads(capsys.readouterr().err)["rows"] == 5
+
     def test_zero_samples_writes_the_vertices_and_the_uniform_plan(self, tmp_path, capsys):
         out = tmp_path / "mixed.csv"
         assert main(["mixed", "--samples", "0", "--seed", "1", "--output", str(out)]) == 0
@@ -670,10 +695,13 @@ class TestCsvByteIdentity:
             ["sweep-fidelity"],
             ["sweep-delta", "--mu", "0.3", "--p-step", "0.01"],
             ["sweep-delta", "--mu-step", "0.1", "--p-step", "0.01"],
+            ["sweep-delta", "--mu", "0.3", "--p", "0.5"],
+            ["mixed", "--seed", "7", "--samples", "20"],
         ],
     )
     def test_rows_cut_into_blocks_join_to_the_same_payload(self, monkeypatch, argv):
-        # 101 points a row: fourteen blocks of 7 lines and one of 3 per row
+        # 101 points a row: fourteen blocks of 7 lines and one of 3 per row;
+        # one point: one block of one line; 23 mixed rows: 7, 7, 7 and 2
         whole = call_main(argv)
         monkeypatch.setattr(cli, "_BLOCK_LINES", 7)
         assert call_main(argv) == whole
@@ -733,10 +761,11 @@ class TestCsvByteIdentity:
 
     def test_long_mu_row_holds_one_block_of_grid_cells_at_a_time(self, tmp_path):
         # 100,001 points of one mu: the gap over the whole axis (7.6 MiB
-        # traced) and the (p, f_b, f_c) cells joined once fit; the grid
-        # cells of every point and the whole body (7.7 MB) on top do not
+        # traced) and one block of cells and lines fit; the (p, f_b, f_c)
+        # cells of every point formatted and joined at once (25.8 MiB
+        # traced in all), or the whole body (7.7 MB), do not
         argv = ("sweep-delta", "--mu", "0.3", "--p-step", "1e-5")
-        assert output_peak(tmp_path, *argv) <= 32 * 2**20
+        assert output_peak(tmp_path, *argv) <= 12 * 2**20
 
     def test_finer_p_grid_grows_the_peak_by_the_report_alone(self, tmp_path):
         # halving the p-step doubles the report's p columns and (mu, p)
