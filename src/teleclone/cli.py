@@ -12,7 +12,11 @@ bytes of every CSV command (the `ok` flag of `mixed` is the cell of
 0.0 or 1.0), `_lines` joins cells into lines, and one body writer,
 `_body`, makes every CSV body from value fields that broadcast to one
 grid: a field smaller than the grid is formatted once, every full-size
-field one block of lines at a time.  Commands compute,
+field one block of lines at a time.  `mixed` evaluates all of its plans
+in one array pass: one (k, 2^n) plan array, checked once by
+`mixed.check_eigenvalues`, one `mixed.mixed_fidelities` call and
+elementwise `verify.fidelity_in_bounds` flags, handed to `_body` as float
+columns.  Commands compute,
 `main` writes: a command returns its exit code, its payload (ASCII
 bytes in blocks: a CSV header line, then blocks of at most
 `_BLOCK_LINES` lines formatted as they are asked for, or one JSON
@@ -326,7 +330,7 @@ def cmd_sweep_fidelity(args) -> tuple:
 def cmd_mixed(args) -> tuple:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
-    if args.samples > 100_000:  # rows are held until written: 40-54 MiB traced here
+    if args.samples > 100_000:  # plans and columns are held until written: 4.6-9.2 MiB traced here
         raise ValueError(f"--samples must be at most 100000, got {args.samples}")
     # every plan's purified 2n-qubit protocol; the cross-check below runs it,
     # so its budget is checked first
@@ -336,20 +340,18 @@ def cmd_mixed(args) -> tuple:
     f_pure = float(fidelity_curve(args.p, params.d)[0])
     mixed_dim = 1 << args.n
     rng = np.random.default_rng(args.seed)
-    plans = [np.eye(mixed_dim)[k] for k in range(mixed_dim)]
-    plans.append(np.full(mixed_dim, 1.0 / mixed_dim))
-    plans.extend(mx.sample_simplex(mixed_dim, args.samples, rng))
-
-    rows = []  # alpha_0..alpha_{2^n-1}, p, f_mixed, lower, f_pure, ok
-    for alphas in plans:
-        mixed = mx.MixedInput(alphas, args.n)
-        f_mixed = mx.mixed_fidelity(mixed, params)
-        # within [bound, 1], and never below the pure-state clone fidelity
-        ok = verify.fidelity_in_bounds(f_mixed, lower, 1.0) and verify.fidelity_in_bounds(
-            f_mixed, f_pure, math.inf
-        )
-        rows.append([*mixed.alphas.tolist(), args.p, f_mixed, lower, f_pure, ok])
-    violations = sum(not row[-1] for row in rows)
+    # the vertices, the uniform point and the simplex draws, one plan a row
+    plans = np.concatenate([
+        np.eye(mixed_dim),
+        np.full((1, mixed_dim), 1.0 / mixed_dim),
+        mx.sample_simplex(mixed_dim, args.samples, rng),
+    ])
+    mx.check_eigenvalues(plans, args.n)
+    f_mixed = mx.mixed_fidelities(plans, params)
+    # within [bound, 1], and never below the pure-state clone fidelity
+    ok = verify.fidelity_in_bounds(f_mixed, lower, 1.0) & verify.fidelity_in_bounds(
+        f_mixed, f_pure, math.inf
+    )
 
     # cross-check a few rows against the full simulation before writing
     check_count = 3 if args.n == 1 else 2
@@ -366,12 +368,12 @@ def cmd_mixed(args) -> tuple:
         "ok",
     ]
     summary = {
-        "rows": len(rows),
-        "violations": violations,
+        "rows": len(plans),
+        "violations": int(np.count_nonzero(~ok)),
         "simulated_instances": check_count,
         "max_sim_formula_error": sim_err,
     }
-    return 0, _csv(header, _body(*np.array(rows).T)), summary
+    return 0, _csv(header, _body(*plans.T, args.p, f_mixed, lower, f_pure, ok)), summary
 
 
 def cmd_verify(args) -> tuple:

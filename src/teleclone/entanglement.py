@@ -100,40 +100,58 @@ def clone_concurrence(mu_value, fidelity) -> float:
     return _maybe_scalar(_concurrence(mu_arr, f_arr), mu_value, fidelity)
 
 
+#: the two-qubit spin flip sigma_y (x) sigma_y
+_SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
+
+
+def _wootters(mats: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of every two-qubit density matrix of a (k, 4, 4) stack.
+
+    Eigenvalues lam_i of rho (sy (x) sy) rho* (sy (x) sy), decreasingly
+    ordered: max{0, sqrt(lam_0) - sqrt(lam_1) - sqrt(lam_2) - sqrt(lam_3)},
+    for all k matrices in one batched product and eigenvalue solve.
+    Conjugation is taken in the computational basis.  The entries are
+    taken as they are; a spectrum below -1e-10 is refused.
+    """
+    if mats.shape[-2:] != (4, 4):
+        raise ValueError("concurrence is defined for two-qubit states")
+    spectra = np.real(np.linalg.eigvals(mats @ _SPIN_FLIP @ mats.conj() @ _SPIN_FLIP))
+    if spectra.min() < -1e-10:
+        raise ValueError(f"spin-flip spectrum has eigenvalue {spectra.min():.3e}")
+    roots = np.sqrt(np.sort(np.maximum(spectra, 0.0), axis=-1)[..., ::-1])
+    value = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    return np.where(value > 0.0, value, 0.0)  # as max(0.0, value): 0.0 unless positive
+
+
 def wootters_concurrence(rho) -> float:
     """Concurrence of a two-qubit density matrix from the spin-flip spectrum.
 
-    Eigenvalues lam_i of rho (sy (x) sy) rho* (sy (x) sy), decreasingly
-    ordered: max{0, sqrt(lam_0) - sqrt(lam_1) - sqrt(lam_2) - sqrt(lam_3)}.
-    Conjugation is taken in the computational basis.
+    The one-matrix case of `_wootters`; an array is first checked as a
+    two-qubit DensityMatrix.
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho, 2)
-    if rho.num_qubits != 2:
-        raise ValueError("concurrence is defined for two-qubit states")
-    mat = rho.entries
-    flip = np.kron(PAULI_Y, PAULI_Y)
-    spectrum = np.linalg.eigvals(mat @ flip @ mat.conj() @ flip)
-    spectrum = np.real(spectrum)
-    if spectrum.min() < -1e-10:
-        raise ValueError(f"spin-flip spectrum has eigenvalue {spectrum.min():.3e}")
-    roots = np.sqrt(np.sort(np.maximum(spectrum, 0.0))[::-1])
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    return float(_wootters(rho.entries[None])[0])
 
 
-def _gap(mu_value, p) -> tuple:
+def _gap(mu_value, p, at=None) -> tuple:
     """(F_B, F_C, C_B, C_C, EoF_B, EoF_C, delta) of two-qubit clones.
 
     The one evaluation of F -> C -> EoF -> delta.  p, then mu, is checked
     against its band (1e-12 either side) once; p is clamped to [0, 1], so
     F_B and F_C have p's shape, and the rest broadcasts over mu and p.
+    With `at`, an index array of p's shape, mu holds each distinct mu once
+    and point i takes mu[at[i]]: the input EoF is formed once per mu.
     """
     p_arr = _banded(p, 1.0, "p outside [0, 1]")
     mu_arr = _banded(mu_value, 0.5, "mu outside [0, 1/2]")
     f_b, f_c = fidelity_curve(np.clip(p_arr, 0.0, 1.0), 4)
+    input_eof = _eof(np.minimum(2.0 * mu_arr, 1.0))
+    if at is not None:
+        mu_arr, input_eof = mu_arr[at], input_eof[at]
     c_b, c_c = _concurrence(mu_arr, f_b), _concurrence(mu_arr, f_c)
     eof_b, eof_c = _eof(c_b), _eof(c_c)
-    value = _eof(np.minimum(2.0 * mu_arr, 1.0)) - eof_b - eof_c
+    value = input_eof - eof_b - eof_c
     return f_b, f_c, c_b, c_c, eof_b, eof_c, value
 
 
@@ -292,13 +310,14 @@ def _analyze(mus: np.ndarray, grid: SweepGrid) -> tuple:
 def _analyze_group(group: list, grid: SweepGrid) -> list:
     """One MuAnalysis per (mu, region, scans) of a group.
 
-    Every mu's scans go through one `_gap` evaluation; each analysis reads
-    its own slices of the result.
+    Every mu's scans go through one `_gap` evaluation, which forms each
+    mu's input EoF once; each analysis reads its own slices of the result.
     """
     sizes = [part.size for _, _, parts in group for part in parts]
-    mus = np.repeat([mu_value for mu_value, _, _ in group], 5)
     *_, eof_b, eof_c, values = _gap(
-        np.repeat(mus, sizes), np.concatenate([part for _, _, parts in group for part in parts])
+        [mu_value for mu_value, _, _ in group],
+        np.concatenate([part for _, _, parts in group for part in parts]),
+        at=np.repeat(np.arange(len(group)).repeat(5), sizes),
     )
     edges = np.cumsum([0, *sizes]).tolist()
 

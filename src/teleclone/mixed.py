@@ -6,7 +6,10 @@ B and C sides.  Each n-qubit half of either side, read straight off the
 final state, is one of four clones of the original mixed state — with a
 strictly better fidelity floor than pure telecloning at the same
 dimension.  `_clones` is the one purified run behind `teleclone_mixed`
-and `trace_fidelities`.
+and `trace_fidelities`.  `mixed_fidelities` is the one copy of the
+closed-form fidelity, over any number of rows of eigenvalues at once, and
+`check_eigenvalues` the one statement of `MixedInput`'s rules, for one
+row or a whole (k, 2^n) array of them.
 """
 
 from dataclasses import dataclass
@@ -24,6 +27,18 @@ from .qstate import (
 )
 
 
+def check_eigenvalues(alphas: np.ndarray, n: int) -> None:
+    """MixedInput's rules, on one row of eigenvalues or on every row of a
+    (k, 2^n) float array at once: 2^n per row, nonnegative, each row summing
+    to 1 within 1e-12."""
+    if alphas.shape[-1:] != (1 << n,):
+        raise ValueError(f"expected {1 << n} eigenvalues for n={n}")
+    if not np.all(alphas >= 0.0):  # NaN fails it too
+        raise ValueError("eigenvalues must be nonnegative")
+    if not np.all(np.abs(alphas.sum(axis=-1) - 1.0) <= 1e-12):  # as does an infinite sum
+        raise ValueError("eigenvalues must sum to 1 within 1e-12")
+
+
 @dataclass(frozen=True)
 class MixedInput:
     """Computational-basis eigenvalues of an n-qubit mixed state."""
@@ -33,12 +48,9 @@ class MixedInput:
 
     def __post_init__(self):
         alphas = np.array(self.alphas, dtype=float)
-        if alphas.ndim != 1 or alphas.size != 1 << self.n:
+        if alphas.ndim != 1:
             raise ValueError(f"expected {1 << self.n} eigenvalues for n={self.n}")
-        if not alphas.min() >= 0.0:  # NaN fails it too
-            raise ValueError("eigenvalues must be nonnegative")
-        if not abs(alphas.sum() - 1.0) <= 1e-12:  # as does an infinite sum
-            raise ValueError("eigenvalues must sum to 1 within 1e-12")
+        check_eigenvalues(alphas, self.n)
         alphas.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
 
@@ -126,19 +138,30 @@ def mixed_clone_formula(mixed: MixedInput, params: CloneParams) -> DensityMatrix
     return DensityMatrix(mat.astype(complex) / params.normalization, mixed.n)
 
 
+def mixed_fidelities(alphas: np.ndarray, params: CloneParams) -> np.ndarray:
+    """Closed-form B-clone fidelity of every row of eigenvalues in alphas.
+
+    (sum_k sqrt([1 - q^2 + (d-1)p^2] alpha_k^2 + sqrt(d) q^2 alpha_k))^2
+    divided by the normalization, over the last axis of alphas: rows of
+    sqrt(d) = 2^n eigenvalues that the caller has passed through
+    check_eigenvalues.  Behind mixed_fidelity, and the `mixed` command's
+    one pass over all of its plans.
+    """
+    d, q = params.d, params.q
+    coef = 1.0 - q**2 + (d - 1) * params.p**2
+    terms = np.sqrt(coef * alphas**2 + alphas.shape[-1] * q**2 * alphas)
+    return terms.sum(axis=-1) ** 2 / params.normalization
+
+
 def mixed_fidelity(mixed: MixedInput, params: CloneParams) -> float:
     """Closed-form fidelity between the mixed input and its B-side clone.
 
-    (sum_k sqrt([1 - q^2 + (d-1)p^2] alpha_k^2 + sqrt(d) q^2 alpha_k))^2
-    divided by the normalization; equals the Uhlmann fidelity against
+    mixed_fidelities of its one row; equals the Uhlmann fidelity against
     mixed_clone_formula.  Value 1 at the uniform input, and the
     fidelity_bounds floor at simplex vertices.
     """
     _check_protocol_params(mixed, params)
-    d, q = params.d, params.q
-    coef = 1.0 - q**2 + (d - 1) * params.p**2
-    terms = np.sqrt(coef * mixed.alphas**2 + mixed.dimension * q**2 * mixed.alphas)
-    return float(terms.sum() ** 2 / params.normalization)
+    return float(mixed_fidelities(mixed.alphas, params))
 
 
 def fidelity_bounds(params: CloneParams) -> tuple[float, float]:

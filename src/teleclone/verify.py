@@ -203,20 +203,22 @@ def triple_deviations(params: CloneParams, pos: int) -> tuple[float, float]:
 
     On every machine state |j>, the sigma_z triple must flip the sign where
     bit (n-1-pos) of j is set, and the sigma_x triple must flip that bit of j.
+    The d states are the rows of one (j, B, C, anc) register, so each Pauli
+    of a triple is applied once to all of them.
     """
-    n = params.n
-    states = [cloner_basis_state(j, params) for j in range(params.d)]
+    n, d = params.n, params.d
+    states = np.stack([cloner_basis_state(j, params).amplitudes for j in range(d)])
+    z_out = x_out = qs.StateVector(states.ravel(), 4 * n)
+    for offset in (n, 2 * n, 3 * n):
+        z_out = qs.apply_local(z_out, qs.PAULI_Z, offset + pos)
+        x_out = qs.apply_local(x_out, qs.PAULI_X, offset + pos)
     mask = 1 << (n - 1 - pos)
-    z_devs, x_devs = [], []
-    for j, state in enumerate(states):
-        z_out = x_out = state
-        for offset in (0, n, 2 * n):
-            z_out = qs.apply_local(z_out, qs.PAULI_Z, offset + pos)
-            x_out = qs.apply_local(x_out, qs.PAULI_X, offset + pos)
-        sign = -1.0 if j & mask else 1.0
-        z_devs.append(_max_abs(z_out.amplitudes, sign * state.amplitudes))
-        x_devs.append(_max_abs(x_out.amplitudes, states[j ^ mask].amplitudes))
-    return _largest(z_devs), _largest(x_devs)
+    j = np.arange(d)
+    signs = np.where(j & mask, -1.0, 1.0)[:, None]
+    return (
+        _max_abs(z_out.amplitudes.reshape(d, -1), signs * states),
+        _max_abs(x_out.amplitudes.reshape(d, -1), states[j ^ mask]),
+    )
 
 
 def _group_transformations(seed: int) -> GroupResult:
@@ -375,12 +377,16 @@ def _group_outcomes(seed: int) -> GroupResult:
 
 
 def concurrence_deviation(psi, params: CloneParams) -> float:
-    """Wootters concurrence of each closed-form clone against C(mu, F)."""
+    """Wootters concurrence of each closed-form clone against C(mu, F).
+
+    Both clones of the pair go through one spin-flip solve, and both
+    fidelities through one clone_concurrence call.
+    """
     mu_value = ent.mu(psi.amplitudes)
-    return _largest(
-        abs(ent.wootters_concurrence(rho) - ent.clone_concurrence(mu_value, f))
-        for rho, f in zip(clone_pair(psi, params), clone_fidelities(params))
-    )
+    rho_b, rho_c = clone_pair(psi, params)
+    wootters = ent._wootters(np.stack([rho_b.entries, rho_c.entries]))
+    closed = ent.clone_concurrence(mu_value, np.array(clone_fidelities(params)))
+    return _largest(np.abs(wootters - closed))
 
 
 def input_eof_deviation(psi) -> float:
@@ -455,9 +461,10 @@ def mixed_fidelity_deviation(mixed: mx.MixedInput, params: CloneParams, clone) -
     return abs(mx.mixed_fidelity(mixed, params) - oracle)
 
 
-def fidelity_in_bounds(value: float, lower: float, upper: float) -> bool:
-    """lower <= value <= upper, each side within EXACT_TOL."""
-    return lower - EXACT_TOL <= value <= upper + EXACT_TOL
+def fidelity_in_bounds(value, lower: float, upper: float):
+    """lower <= value <= upper, each side within EXACT_TOL; a NaN value is never
+    within.  Elementwise over an array of values, as a bool array."""
+    return (lower - EXACT_TOL <= value) & (value <= upper + EXACT_TOL)
 
 
 def trace_monotone(mixed: mx.MixedInput, params: CloneParams) -> bool:

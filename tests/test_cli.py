@@ -3,6 +3,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -18,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teleclone
-from teleclone import cli
+from teleclone import cli, verify
 from teleclone import entanglement as ent
 from teleclone import mixed as mx
 from teleclone.cli import main
-from teleclone.cloning import fidelity_curve
+from teleclone.cloning import CloneParams, fidelity_curve
 
 
 def refuse_to_allocate(monkeypatch, *names):
@@ -484,6 +485,38 @@ class TestMixedCommand:
         _, rows = read_csv_rows(out)
         assert len(rows) == 3
 
+    @given(
+        st.integers(min_value=1, max_value=2),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.lists(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4),
+                 max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_and_flags_equal_the_per_plan_route_bit_for_bit(self, n, p, draws):
+        # drawn simplex points in place of sample_simplex's, after the
+        # vertices and the uniform point; the fields _body is handed must
+        # equal one MixedInput, mixed_fidelity and fidelity_in_bounds per plan
+        dim = 1 << n
+        points = np.array([row[:dim] for row in draws if sum(row[:dim]) > 0]).reshape(-1, dim)
+        points = points / points.sum(axis=1, keepdims=True)
+        fields = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mx, "sample_simplex", lambda dimension, count, rng: points)
+            patch.setattr(cli, "_body", lambda *f: fields.extend(f) or iter(()))
+            argv = ["mixed", "--n", str(n), "--p", str(p), "--samples", str(len(points))]
+            assert call_main(argv + ["--seed", "1"])[0] == 0
+        *alphas, p_field, f_mixed, lower, f_pure, ok = fields
+        plans = np.vstack([np.eye(dim), np.full((1, dim), 1.0 / dim), points])
+        assert np.stack(alphas, axis=1).tobytes() == plans.tobytes()
+        params = CloneParams(p=p, n=2 * n)
+        assert (p_field, lower, f_pure) == (p, mx.fidelity_bounds(params)[0], fidelity_curve(p, params.d)[0])
+        expected = [mx.mixed_fidelity(mx.MixedInput(row, n), params) for row in plans]
+        assert f_mixed.tobytes() == np.array(expected).tobytes()
+        assert ok.tolist() == [
+            verify.fidelity_in_bounds(f, lower, 1.0) and verify.fidelity_in_bounds(f, f_pure, math.inf)
+            for f in expected
+        ]
+
     def test_oversize_register_leaves_no_csv(self, tmp_path, capsys):
         out = tmp_path / "mixed3.csv"
         args = ["mixed", "--n", "3", "--samples", "1", "--seed", "1", "--output", str(out)]
@@ -766,6 +799,12 @@ class TestCsvByteIdentity:
         # traced in all), or the whole body (7.7 MB), do not
         argv = ("sweep-delta", "--mu", "0.3", "--p-step", "1e-5")
         assert output_peak(tmp_path, *argv) <= 12 * 2**20
+
+    def test_mixed_plans_are_float_columns(self, tmp_path):
+        # 20,003 plans: their (k, 2) array, the fidelity, bound and flag
+        # columns and one block of lines fit (2.1 MiB traced); a Python
+        # list of floats and a bool per row does not (8.1 MiB traced)
+        assert output_peak(tmp_path, "mixed", "--seed", "7", "--samples", "20000") <= 4 * 2**20
 
     def test_finer_p_grid_grows_the_peak_by_the_report_alone(self, tmp_path):
         # halving the p-step doubles the report's p columns and (mu, p)

@@ -149,6 +149,36 @@ class TestWoottersConcurrence:
         with pytest.raises(ValueError, match="eigenvalue"):
             ent.wootters_concurrence(np.diag([1.2, -0.2, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pure_states_equal_twice_mu(self, seed):
+        # C(|psi>) = |<psi*| sy (x) sy |psi>| = 2 |a0 a3 - a1 a2|; complex
+        # amplitudes, so a spectrum without the conjugate misses it.  Three
+        # eigenvalues vanish, and their roots lift rounding to about 3e-9
+        psi = StateVector.random(2, np.random.default_rng(seed))
+        rho = DensityMatrix.from_state(psi)
+        assert ent.wootters_concurrence(rho) == pytest.approx(2 * ent.mu(psi.amplitudes), abs=1e-7)
+
+    def test_stack_equals_each_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        mats = [DensityMatrix.from_state(StateVector.random(2, rng)).entries for _ in range(3)]
+        for p in (0.0, 0.3, 0.5, 1.0):
+            mats.extend(rho.entries for rho in clone_pair(StateVector.random(2, rng), CloneParams(p=p, n=2)))
+        mats += [np.eye(4) / 4, qstate.reduced_density(StateVector.random(4, rng), [0, 2]).entries]
+        stacked = ent._wootters(np.stack(mats))
+        assert stacked.tolist() == [ent.wootters_concurrence(m) for m in mats]
+        assert stacked[:3].tolist() != [0.0] * 3
+
+    def test_stack_refuses_a_bad_spectrum_with_the_one_matrix_message(self):
+        # a density matrix within its -1e-9 eigenvalue band, whose spin-flip
+        # spectrum holds (0.5 + 5e-10) * -5e-10
+        bad = np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10])
+        with pytest.raises(ValueError) as single:
+            ent.wootters_concurrence(bad)
+        with pytest.raises(ValueError) as stacked:
+            ent._wootters(np.stack([np.eye(4) / 4, bad]))
+        assert "spin-flip spectrum has eigenvalue" in str(single.value)
+        assert str(stacked.value) == str(single.value)
+
 
 class TestDelta:
     def test_zero_mu(self):

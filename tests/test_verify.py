@@ -9,7 +9,7 @@ from teleclone import cli, verify
 from teleclone import qstate as qs
 from teleclone import mixed as mx
 from teleclone import protocol as pt
-from teleclone.cloning import CloneParams, clone_fidelities
+from teleclone.cloning import CloneParams, clone_fidelities, cloner_basis_state
 from teleclone.protocol import BellOutcome, ChannelState, build_channel
 from teleclone.qstate import StateVector
 
@@ -94,6 +94,42 @@ def test_bound_slack_is_exact_tol():
     assert not verify.fidelity_in_bounds(0.8 - 2e-9, 0.8, 1.0)
     assert not verify.fidelity_in_bounds(1.0 + 2e-9, 0.8, 1.0)
     assert not verify.fidelity_in_bounds(float("nan"), 0.8, 1.0)
+
+
+def test_bound_flags_of_an_array_are_elementwise():
+    values = np.array([0.8 - 2e-9, 0.8 - 0.5e-9, 0.9, 1.0 + 0.5e-9, 1.0 + 2e-9, np.nan, np.inf, -np.inf])
+    for upper in (1.0, np.inf):
+        flags = verify.fidelity_in_bounds(values, 0.8, upper)
+        assert flags.tolist() == [bool(verify.fidelity_in_bounds(v, 0.8, upper)) for v in values.tolist()]
+
+
+def per_state_triple_deviations(params, pos):
+    """triple_deviations as six apply_local calls on each machine state, one state at a time."""
+    n = params.n
+    states = [cloner_basis_state(j, params) for j in range(params.d)]
+    mask = 1 << (n - 1 - pos)
+    z_devs, x_devs = [], []
+    for j, state in enumerate(states):
+        z_out = x_out = state
+        for offset in (0, n, 2 * n):
+            z_out = qs.apply_local(z_out, qs.PAULI_Z, offset + pos)
+            x_out = qs.apply_local(x_out, qs.PAULI_X, offset + pos)
+        sign = -1.0 if j & mask else 1.0
+        z_devs.append(np.abs(z_out.amplitudes - sign * state.amplitudes).max())
+        x_devs.append(np.abs(x_out.amplitudes - states[j ^ mask].amplitudes).max())
+    return float(max(z_devs)), float(max(x_devs))
+
+
+@pytest.mark.parametrize("n, pos", [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("swapped", [None, "PAULI_Z", "PAULI_X"])
+def test_stacked_triples_equal_the_per_state_loop(monkeypatch, n, pos, swapped):
+    # with a Pauli swapped for the identity, both report its triple's error
+    if swapped:
+        monkeypatch.setattr(qs, swapped, qs.IDENTITY)
+    params = CloneParams(p=0.3, n=n)
+    stacked = verify.triple_deviations(params, pos)
+    assert stacked == per_state_triple_deviations(params, pos)
+    assert (stacked[0] > 0.1, stacked[1] > 0.1) == (swapped == "PAULI_Z", swapped == "PAULI_X")
 
 
 def test_nan_deviation_is_never_skipped():
